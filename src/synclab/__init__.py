@@ -1,6 +1,6 @@
 """synclab: simulation and certification laboratory for inertial Kuramoto oscillators."""
 
-from .integrate import IntegrationError, TaylorJet, Trajectory, dense_eval, first_zero, integrate, taylor_jet
+from .integrate import IntegrationError, TaylorJet, Trajectory, first_zero, integrate, taylor_jet
 from .model import GalileanShift, PhaseState, SystemParams
 from .observables import ClusterSpec, LockCertificate, lock_certificate, order_parameter
 from .reconstruct import (
@@ -28,7 +28,6 @@ __all__ = [
     "Trajectory",
     "compare_trajectories",
     "contraction_horizon",
-    "dense_eval",
     "determinability_threshold",
     "first_zero",
     "integrate",

@@ -8,6 +8,9 @@ Everything stiff in this package reduces to integrals of the form
 with a polynomial factor u^p coming from a local polynomial model of the
 smooth (non-stiff) part of the integrand.  Computing these moments in closed
 form keeps the quadrature error independent of the stiffness ratio s/m.
+`relaxation_convolution` chains them into the convolution of the kernel with
+a piecewise cubic Hermite model, the one integral behind both the velocity
+certificate and the velocity reconstruction map.
 """
 
 from __future__ import annotations
@@ -16,89 +19,94 @@ import math
 
 import numpy as np
 
-# Taylor fallback: M_p = s^(p+1) * sum_j (-z)^j p!/(p+j+1)!, z = s/m.
-_SERIES_Z = 1e-3
-_SERIES_TERMS = 10
+# Below a per-order switch in z = s/m the recurrences cancel catastrophically
+# (relative error ~ eps / z^(p+1)); there a Taylor series in z takes over:
+#   M_p = s^(p+1) * sum_{j>=0} (-z)^j p!/(p+j+1)!,
+#   J_p = -s^(p+1) * sum_{j>=1} (-z)^j p!/(p+j+1)!.
+# With 20 terms the series stays within a few ulp up to z = 1.
+_MAX_ORDER = 3
+_SERIES_TERMS = 20
+_SWITCH_M = (0.0, 0.01, 0.1, 0.5)  # M_0 = -m expm1(-z) never cancels
+_SWITCH_J = (0.01, 0.1, 0.5, 1.0)
+_COEF = [
+    [math.factorial(p) / math.factorial(p + j + 1) for j in range(_SERIES_TERMS)]
+    for p in range(_MAX_ORDER + 1)
+]
+
+
+def _horner(z, coefs):
+    """sum_j coefs[j] * (-z)^j for a scalar or ndarray z."""
+    acc = coefs[-1]
+    for c in coefs[-2::-1]:
+        acc = acc * (-z) + c
+    return acc
+
+
+def _flat(sigma):
+    s = np.asarray(sigma, dtype=float)
+    return s.reshape(-1), s.shape
+
+
+def _exp_moments_flat(s: np.ndarray, m: float, pmax: int) -> list[np.ndarray]:
+    if not 0 <= pmax <= _MAX_ORDER:
+        raise ValueError(f"moment order must lie in 0..{_MAX_ORDER}")
+    z = s / m
+    out = [-m * np.expm1(-z)]
+    for p in range(1, pmax + 1):
+        out.append(m * (s**p - p * out[-1]))
+    for p in range(pmax + 1):
+        small = z < _SWITCH_M[p]
+        if np.any(small):
+            out[p][small] = s[small] ** (p + 1) * _horner(z[small], _COEF[p])
+    return out
 
 
 def exp_moments(sigma, m: float, pmax: int):
     """Return [M_0(sigma), ..., M_pmax(sigma)] for the kernel exp(-(s-u)/m).
 
-    `sigma` may be a scalar or ndarray of nonnegative reals; m > 0.
-    Uses the recurrence M_p = m*(sigma^p - p*M_{p-1}) away from sigma << m
-    and a Taylor series in z = sigma/m below it (the recurrence cancels
-    catastrophically there).
+    `sigma` may be a scalar or ndarray of nonnegative reals; m > 0, pmax <= 3.
+    Uses the recurrence M_p = m*(sigma^p - p*M_{p-1}) where z = sigma/m lies
+    above the order's switch and the Taylor series on the entries below it.
     """
-    s = np.asarray(sigma, dtype=float)
-    z = s / m
-    small = z < _SERIES_Z
-
-    out = []
-    mp = -m * np.expm1(-z)
-    out.append(mp)
-    for p in range(1, pmax + 1):
-        mp = m * (s**p - p * mp)
-        out.append(mp)
-
-    if np.any(small):
-        for p in range(pmax + 1):
-            acc = np.zeros_like(z)
-            zj = np.ones_like(z)
-            for j in range(_SERIES_TERMS):
-                acc = acc + zj * (math.factorial(p) / math.factorial(p + j + 1))
-                zj = zj * (-z)
-            out[p] = np.where(small, s ** (p + 1) * acc, out[p])
-    return out
+    s, shape = _flat(sigma)
+    return [mp.reshape(shape) for mp in _exp_moments_flat(s, m, pmax)]
 
 
 def one_sided_moments(sigma, m: float, pmax: int):
     """Return ([M_p], [J_p]) with J_p = sigma^(p+1)/(p+1) - M_p, stably.
 
-    J_p also cancels for sigma << m, so it gets its own series branch:
-    J_p = s^(p+1) * sum_{j>=1} (-1)^(j+1) z^j p!/(p+j+1)!.
+    J_p also cancels for sigma << m, so it gets its own per-order series
+    branch.
     """
-    s = np.asarray(sigma, dtype=float)
+    s, shape = _flat(sigma)
     z = s / m
-    small = z < _SERIES_Z
-    mom = exp_moments(s, m, pmax)
-
+    mom = _exp_moments_flat(s, m, pmax)
     jom = []
     for p in range(pmax + 1):
         jp = s ** (p + 1) / (p + 1) - mom[p]
+        small = z < _SWITCH_J[p]
         if np.any(small):
-            acc = np.zeros_like(z)
-            zj = np.full_like(z, 1.0)
-            for j in range(1, _SERIES_TERMS):
-                zj = zj * (-z)
-                acc = acc - zj * (math.factorial(p) / math.factorial(p + j + 1))
-            jp = np.where(small, s ** (p + 1) * acc, jp)
+            jp[small] = s[small] ** (p + 1) * z[small] * _horner(z[small], _COEF[p][1:])
         jom.append(jp)
-    return mom, jom
+    return [mp.reshape(shape) for mp in mom], [jp.reshape(shape) for jp in jom]
 
 
 def scalar_relax_moments(sigma: float, m: float):
     """(M0, M1, M2, J0, J1, J2) for scalar sigma, avoiding array overhead."""
     z = sigma / m
-    if z >= _SERIES_Z:
-        m0 = -m * math.expm1(-z)
-        m1 = m * (sigma - m0)
-        m2 = m * (sigma * sigma - 2.0 * m1)
-        return m0, m1, m2, sigma - m0, 0.5 * sigma * sigma - m1, sigma**3 / 3.0 - m2
-    mm = [0.0, 0.0, 0.0]
-    jj = [0.0, 0.0, 0.0]
+    m0 = -m * math.expm1(-z)
+    m1 = m * (sigma - m0)
+    m2 = m * (sigma * sigma - 2.0 * m1)
+    out = (m0, m1, m2, sigma - m0, 0.5 * sigma * sigma - m1, sigma**3 / 3.0 - m2)
+    if z >= _SWITCH_J[2]:  # above every switch up to order 2
+        return out
+    out = list(out)
     for p in range(3):
-        acc_m = 0.0
-        acc_j = 0.0
-        zj = 1.0
-        for j in range(_SERIES_TERMS):
-            c = zj * (math.factorial(p) / math.factorial(p + j + 1))
-            acc_m += c
-            if j >= 1:
-                acc_j -= c
-            zj *= -z
-        mm[p] = sigma ** (p + 1) * acc_m
-        jj[p] = sigma ** (p + 1) * acc_j
-    return mm[0], mm[1], mm[2], jj[0], jj[1], jj[2]
+        if z < _SWITCH_M[p]:
+            out[p] = sigma ** (p + 1) * _horner(z, _COEF[p])
+        if z < _SWITCH_J[p]:
+            out[3 + p] = sigma ** (p + 1) * z * _horner(z, _COEF[p][1:])
+    return tuple(out)
 
 
 def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):
@@ -122,5 +130,32 @@ def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):
     c2 = np.where(dd > 0, c2, 0.0)
     c3 = np.where(dd > 0, c3, 0.0)
     mom = exp_moments(d, m, 3)
-    mom = [np.reshape(mp, dd.shape) if np.ndim(mp) else mp for mp in mom]
+    mom = [np.reshape(mp, dd.shape) for mp in mom]
     return c0 * mom[0] + c1 * mom[1] + c2 * mom[2] + c3 * mom[3]
+
+
+def relaxation_convolution(nodes, values, slopes, m: float, out_idx) -> np.ndarray:
+    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at each output node t_e.
+
+    H is the piecewise cubic Hermite through (values, slopes), each (Q, n),
+    at the increasing `nodes` (Q,).  `out_idx` lists the output nodes'
+    indices, strictly increasing from 0 to Q - 1, so that consecutive output
+    nodes bound an output cell of one or more sub-cells.  Each sub-cell's
+    exact integral is decayed to the end of its output cell, and the cells
+    are chained by the stable recurrence I_{k+1} = exp(-h_k/m) I_k + local_k.
+    Returns (len(out_idx), n); the first row is zero.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    out_idx = np.asarray(out_idx)
+    ends = nodes[out_idx]
+    sub = hermite_cell_integrals(
+        values[:-1], slopes[:-1], values[1:], slopes[1:], np.diff(nodes), m
+    )
+    cell_of_sub = np.repeat(np.arange(len(out_idx) - 1), np.diff(out_idx))
+    sub *= np.exp(-(ends[1:][cell_of_sub] - nodes[1:]) / m)[:, None]
+    local = np.add.reduceat(sub, out_idx[:-1], axis=0)
+    fade = np.exp(-np.diff(ends) / m)
+    out = np.zeros((len(out_idx),) + values.shape[1:])
+    for k in range(len(local)):
+        out[k + 1] = fade[k] * out[k] + local[k]
+    return out

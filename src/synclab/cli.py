@@ -2,7 +2,7 @@
 
 Subcommands: simulate, compare, reconstruct, determinability, certify,
 cluster, sweep, probe.  Exit codes: 0 verdict pass, 1 verdict fail,
-2 usage/config error, 3 numerical failure.  All errors print one
+2 usage/config error, 3 numerical or internal failure.  All errors print one
 machine-parsable line `error: <kind>: <detail>` on stderr.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -157,16 +156,6 @@ def validate_report(payload: dict) -> None:
         raise ValueError("verdict does not equal the conjunction of checks")
 
 
-def _sweep_threads() -> int:
-    raw = os.environ.get("SYNC_LAB_THREADS", "")
-    if raw.strip():
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            raise ConfigError("SYNC_LAB_THREADS must be an integer")
-    return os.cpu_count() or 1
-
-
 _RUNNERS = {
     "certify": run_sync_certification,
     "sweep": run_tikhonov_sweep,
@@ -264,13 +253,9 @@ def parse_and_dispatch(argv: list[str]) -> int:
             report, traj = run_single_simulation(config)
             out_dir.mkdir(parents=True, exist_ok=True)
             write_trajectory_csv(traj, out_dir / "trajectory.csv")
-            _emit_report(report, out_dir, args.verbose)
-        elif sub == "sweep":
-            report = _run_sweep(config)
-            _emit_report(report, out_dir, args.verbose)
         else:
             report = _RUNNERS[sub](config)
-            _emit_report(report, out_dir, args.verbose)
+        _emit_report(report, out_dir, args.verbose)
         return 0 if report.verdict else 1
     except ConfigError as exc:
         print(f"error: config: {exc}", file=sys.stderr)
@@ -281,11 +266,10 @@ def parse_and_dispatch(argv: list[str]) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
-
-
-def _run_sweep(config: ScenarioConfig) -> ExperimentReport:
-    """Fan the independent per-m integrations over SYNC_LAB_THREADS threads."""
-    return run_tikhonov_sweep(config, workers=_sweep_threads())
+    except Exception as exc:  # never a traceback: exit 1 is reserved for "verdict fail"
+        detail = " ".join(str(exc).split())
+        print(f"error: internal: {type(exc).__name__}: {detail}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

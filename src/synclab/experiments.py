@@ -93,6 +93,10 @@ class ScenarioConfig:
     seeds: int = 1
 
     def validate(self) -> None:
+        for name, value in vars(self).items():
+            values = value if isinstance(value, tuple) else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{name} must be finite")
         if self.n < 1:
             raise ConfigError("n must be >= 1")
         if self.coupling_kappa <= 0:
@@ -268,10 +272,7 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
             resid is None or resid <= 50.0 * config.tol,
             residual=0.0 if resid is None else resid,
         )
-    a = config.a_freq_spread if config.a_freq_spread is not None else DEFAULT_ABC[0]
-    b = config.b_velocity_spread if config.b_velocity_spread is not None else DEFAULT_ABC[1]
-    c = config.c_inertia if config.c_inertia is not None else DEFAULT_ABC[2]
-    report.summaries = {"r_end": r_ends, "cases": cases, "abc": [a, b, c]}
+    report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
     report.wall_time_s = time.perf_counter() - t_start
     return report
 
@@ -287,7 +288,7 @@ def _sweep_init(config: ScenarioConfig):
     return params, PhaseState(0.0, theta0, om0)
 
 
-def run_tikhonov_sweep(config: ScenarioConfig, workers: int = 1) -> ExperimentReport:
+def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
     """Small-inertia sweep: full bound suite plus the linear-in-m verdict."""
     config.validate()
     t_start = time.perf_counter()
@@ -302,7 +303,6 @@ def run_tikhonov_sweep(config: ScenarioConfig, workers: int = 1) -> ExperimentRe
         n_max=config.n_max,
         tol=config.tol,
         strict=config.strict,
-        workers=workers,
     )
     for m in config.m_list:
         report.add_bound_checks(res["checks"][m], prefix=f"m{m:g}/")

@@ -30,7 +30,6 @@ __all__ = [
     "TaylorJet",
     "IntegrationError",
     "integrate",
-    "dense_eval",
     "taylor_jet",
     "first_zero",
 ]
@@ -139,39 +138,22 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    @property
-    def states(self) -> list[PhaseState]:
-        return [
-            PhaseState(float(t), th, om)
-            for t, th, om in zip(self.grid, self.theta_grid, self.omega_grid)
-        ]
-
     def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
         """Dense (theta, omega) arrays of shape (len(ts), n)."""
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
             raise ValueError("query time outside the trajectory span")
-        n = self.params.n
         if self.method == "exp":
             return self._dense.eval_both(ts)
         y = self._dense.eval(ts)
         if self.params.is_inertial:
+            n = self.params.n
             return y[:, :n], y[:, n:]
-        theta = y
-        diff = theta[:, None, :] - theta[:, :, None]
-        omega = self.params.nat_freq[None, :] + (
-            self.params.coupling_kappa / n
-        ) * np.sin(diff).sum(axis=2)
-        return theta, omega
+        return y, rhs_first_order(self.params, y)
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
         return PhaseState(float(t), th[0], om[0])
-
-
-def dense_eval(traj: Trajectory, t: float) -> PhaseState:
-    """Interpolated state at time t in [0, horizon]."""
-    return traj.state_at_time(t)
 
 
 def _scaled_error(err_vec, y_old, y_new, tol):
@@ -264,7 +246,7 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
         theta_g, omega_g = ys[:, :n], ys[:, n:]
     else:
         theta_g = ys
-        omega_g = np.array([rhs_first_order(params, th) for th in theta_g])
+        omega_g = rhs_first_order(params, theta_g)
     return grid, theta_g, omega_g, dense
 
 
@@ -366,8 +348,8 @@ def integrate(
     configuration.  Inertial trajectories are certified against the velocity
     integral representation (sup residual must be < 50 * tol).
     """
-    if horizon <= 0.0:
-        raise ValueError("horizon must be positive")
+    if not (math.isfinite(horizon) and horizon > 1e-14):
+        raise ValueError("horizon must be finite and longer than 1e-14")
     if not (1e-13 <= tol <= 1e-3):
         raise ValueError("tol must lie in [1e-13, 1e-3]")
     if init.n != params.n:

@@ -20,13 +20,14 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import hermite_cell_integrals
+from ._kernels import relaxation_convolution
 
 __all__ = [
     "SystemParams",
     "PhaseState",
     "GalileanShift",
     "coupling_term",
+    "coupling_and_rate",
     "rhs_second_order",
     "rhs_first_order",
     "duhamel_residual",
@@ -107,11 +108,28 @@ class GalileanShift:
                 raise ValueError("shift components must be finite")
 
 
+def _differences(x) -> np.ndarray:
+    """d[..., i, l] = x_l - x_i over the last axis of x."""
+    x = np.asarray(x, dtype=float)
+    return x[..., None, :] - x[..., :, None]
+
+
 def coupling_term(params: SystemParams, theta: np.ndarray) -> np.ndarray:
-    """(kappa/N) * sum_j sin(theta_j - theta_i), one entry per oscillator."""
-    th = np.asarray(theta, dtype=float)
-    diff = th[None, :] - th[:, None]
-    return (params.coupling_kappa / params.n) * np.sin(diff).sum(axis=1)
+    """(kappa/N) * sum_l sin(theta_l - theta_i) over phases of shape (..., n)."""
+    return (params.coupling_kappa / params.n) * np.sin(_differences(theta)).sum(axis=-1)
+
+
+def coupling_and_rate(params: SystemParams, theta: np.ndarray, omega: np.ndarray):
+    """The coupling c_i and its time derivative along (theta, theta' = omega).
+
+    dc_i/dt = (kappa/N) * sum_l cos(theta_l - theta_i) (omega_l - omega_i);
+    theta and omega have shape (..., n).
+    """
+    diff = _differences(theta)
+    k = params.coupling_kappa / params.n
+    c = k * np.sin(diff).sum(axis=-1)
+    dc = k * (np.cos(diff) * _differences(omega)).sum(axis=-1)
+    return c, dc
 
 
 def rhs_second_order(params: SystemParams, state: PhaseState):
@@ -124,115 +142,64 @@ def rhs_second_order(params: SystemParams, state: PhaseState):
 
 
 def rhs_first_order(params: SystemParams, theta: Sequence[float]) -> np.ndarray:
-    """Right-hand side of the first-order model: nu + coupling."""
+    """Right-hand side of the first-order model, nu + coupling, for theta (..., n)."""
     return params.nat_freq + coupling_term(params, theta)
 
 
-def _duhamel_integral_at_grid(params: SystemParams, traj) -> np.ndarray:
-    """int_0^{t_k} exp(-(t_k-s)/m) * c_i(s) ds at every grid point t_k.
+def _velocity_residual(params: SystemParams, eval_many, nodes, omega) -> np.ndarray:
+    """Residual of the velocity integral representation at each of `nodes`.
 
-    c_i is the coupling term along the trajectory's dense output.  Each grid
-    cell is subdivided below the kernel scale and the coupling is replaced by
-    its cubic Hermite model there (values and exact time derivatives), so the
-    quadrature error stays far below the certification threshold even for
-    t >> m.  Accumulation uses the stable one-step recurrence
-    I(t_{k+1}) = exp(-h_k/m) I(t_k) + local integral.
+    residual_i(t) = omega_i(t) - [omega_i(0) e^{-t/m} + nu_i (1 - e^{-t/m})
+                    + (1/m) int_0^t e^{-(t-s)/m} c_i(s) ds],
+
+    with `nodes` increasing from t = 0 and `omega` (len(nodes), n) the
+    velocities there.  Each cell between nodes is split into equal sub-cells
+    below the kernel scale m/10; `eval_many` gives (theta, omega) at the
+    sub-nodes, and the coupling is replaced by its cubic Hermite model there
+    (values and exact time derivatives), so the quadrature error stays far
+    below the certification threshold even for t >> m.
     """
     m = params.inertia_m
-    kappa = params.coupling_kappa
-    n = params.n
-    grid = traj.grid
-    ncell = len(grid) - 1
-    dmax = m / 10.0
+    widths = np.diff(nodes)
+    counts = np.maximum(1, np.ceil(widths / (m / 10.0) - 1e-12).astype(int))
+    out_idx = np.concatenate(([0], np.cumsum(counts)))
+    cell = np.repeat(np.arange(len(widths)), counts)
+    j = np.arange(out_idx[-1]) - out_idx[cell]
+    ts = np.append(j * (widths / counts)[cell] + nodes[cell], nodes[-1])
 
-    # Sub-node layout over all cells at once (node count per cell, then flat).
-    widths = np.diff(grid)
-    counts = np.maximum(1, np.ceil(widths / dmax - 1e-12).astype(int))
-    node_offsets = np.concatenate(([0], np.cumsum(counts + 1)))
-    ts = np.empty(node_offsets[-1])
-    for k in range(ncell):
-        ts[node_offsets[k] : node_offsets[k + 1]] = np.linspace(
-            grid[k], grid[k + 1], counts[k] + 1
-        )
-
-    theta, omega = traj.eval_many(ts)
-    diff = theta[:, None, :] - theta[:, :, None]  # diff[q, i, l] = theta_l - theta_i
-    wdiff = omega[:, None, :] - omega[:, :, None]
-    g = (kappa / n) * np.sin(diff).sum(axis=2)  # (Q, n)
-    dg = (kappa / n) * (np.cos(diff) * wdiff).sum(axis=2)
-
-    # One flat Hermite-moment pass over every substep of every cell.
-    left = np.concatenate(
-        [np.arange(node_offsets[k], node_offsets[k + 1] - 1) for k in range(ncell)]
-    )
-    d = ts[left + 1] - ts[left]
-    sub = hermite_cell_integrals(g[left], dg[left], g[left + 1], dg[left + 1], d, m)
-    cell_of_sub = np.repeat(np.arange(ncell), counts)
-    decay = np.exp(-(grid[cell_of_sub + 1] - ts[left + 1]) / m)
-    sub = decay[:, None] * sub
-    sub_offsets = np.concatenate(([0], np.cumsum(counts)))
-    local = np.add.reduceat(sub, sub_offsets[:-1], axis=0)
-
-    out = np.zeros((ncell + 1, n))
-    acc = np.zeros(n)
-    fade = np.exp(-widths / m)
-    for k in range(ncell):
-        acc = fade[k] * acc + local[k]
-        out[k + 1] = acc
-    return out
+    g, dg = coupling_and_rate(params, *eval_many(ts))
+    conv = relaxation_convolution(ts, g, dg, m, out_idx) / m
+    decay = np.exp(-nodes / m)[:, None]
+    model = omega[0][None, :] * decay + params.nat_freq[None, :] * (1.0 - decay) + conv
+    return omega - model
 
 
 def duhamel_residual_grid(params: SystemParams, traj) -> np.ndarray:
     """Residual of the velocity integral representation at every grid point.
 
-    residual_i(t) = omega_i(t) - [omega0_i e^{-t/m} + nu_i (1 - e^{-t/m})
-                    + (1/m) int_0^t e^{-(t-s)/m} c_i(s) ds],
-
-    which vanishes identically along exact solutions.  Returns (K, n).
+    It vanishes identically along exact solutions.  Returns (K, n).
     """
     if not params.is_inertial:
         raise ValueError("Duhamel residual is defined for m > 0 only")
-    m = params.inertia_m
-    grid = traj.grid
-    omega0 = traj.omega_grid[0]
-    decay = np.exp(-grid / m)[:, None]
-    conv = _duhamel_integral_at_grid(params, traj) / m
-    model = omega0[None, :] * decay + params.nat_freq[None, :] * (1.0 - decay) + conv
-    return traj.omega_grid - model
+    return _velocity_residual(params, traj.eval_many, traj.grid, traj.omega_grid)
 
 
 def duhamel_residual(params: SystemParams, traj, t: float) -> np.ndarray:
-    """Residual of the velocity integral representation at a single time."""
+    """Residual of the velocity integral representation at a single time.
+
+    The same pass as the grid residual, over the grid points before t and t.
+    """
     if not params.is_inertial:
         raise ValueError("Duhamel residual is defined for m > 0 only")
     grid = traj.grid
     if t < grid[0] - 1e-12 or t > grid[-1] + 1e-12:
         raise ValueError("t outside the trajectory span")
     t = min(max(t, grid[0]), grid[-1])
-    k = int(np.searchsorted(grid, t, side="right")) - 1
-    k = min(max(k, 0), len(grid) - 2)
-
-    sub = _SubTrajectory(traj, k, t)
-    res = duhamel_residual_grid(params, sub)
-    return res[-1]
-
-
-class _SubTrajectory:
-    """Dense view of a trajectory restricted to [0, t], grid-aligned up to t."""
-
-    def __init__(self, traj, k: int, t: float):
-        base = traj.grid[: k + 1]
-        if t > base[-1] + 1e-15:
-            self.grid = np.concatenate([base, [t]])
-        else:
-            self.grid = base
-        th, om = traj.eval_many(self.grid)
-        self.theta_grid = th
-        self.omega_grid = om
-        self._traj = traj
-
-    def eval_many(self, ts):
-        return self._traj.eval_many(ts)
+    k = int(np.searchsorted(grid, t, side="left"))
+    nodes = np.append(grid[:k], t)
+    _, omega_t = traj.eval_many(nodes[-1:])
+    omega = np.concatenate([traj.omega_grid[:k], omega_t])
+    return _velocity_residual(params, traj.eval_many, nodes, omega)[-1]
 
 
 def apply_galilean(params: SystemParams, init_state: PhaseState, shift: GalileanShift):

@@ -21,9 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import exp_moments
+from ._kernels import relaxation_convolution
 from .integrate import IntegrationError, Trajectory, first_zero, integrate
-from .model import PhaseState, SystemParams
+from .model import PhaseState, SystemParams, coupling_and_rate
 from .observables import mismatch_l2
 
 __all__ = [
@@ -122,42 +122,19 @@ def contraction_map(
     m = params.inertia_m
     if m <= 0.0:
         raise ValueError("contraction map requires m > 0")
-    kappa, n = params.coupling_kappa, params.n
+    n = params.n
     omega0 = np.asarray(omega0, dtype=float)
     theta_star = np.asarray(theta_star, dtype=float)
     if omega0.shape != (n,) or theta_star.shape != (n,):
         raise ValueError("omega0 and theta_star must have n entries")
 
     w = omega_star.values
-    steps = omega_star.steps
-    dt = omega_star.t0 / steps
-    big_w = _cumulative_from_right(w, dt)  # int_s^{t0} w dtau per channel
-
-    # A[q, i, l] = theta*_l(t0) - theta*_i(t0) - (W_l(s_q) - W_i(s_q))
-    th_diff = theta_star[None, None, :] - theta_star[None, :, None]
-    w_diff = big_w[:, None, :] - big_w[:, :, None]
-    arg = th_diff - w_diff
-    g = (kappa / n) * np.sin(arg).sum(axis=2)  # (steps + 1, n)
-    # d/ds of arg is +(w_l(s) - w_i(s))
-    dg = (kappa / n) * (np.cos(arg) * (w[:, None, :] - w[:, :, None])).sum(axis=2)
-
-    # per-cell exact relaxation integrals of the Hermite model
-    mom = exp_moments(np.array([dt]), m, 3)
-    m0, m1, m2, m3 = (float(mp[0]) for mp in mom)
-    g0, g1 = g[:-1], g[1:]
-    d0, d1 = dg[:-1], dg[1:]
-    c2 = (3.0 * (g1 - g0) - dt * (2.0 * d0 + d1)) / dt**2
-    c3 = (-2.0 * (g1 - g0) + dt * (d0 + d1)) / dt**3
-    cell = g0 * m0 + d0 * m1 + c2 * m2 + c3 * m3  # (steps, n)
-
-    conv = np.zeros_like(w)
-    fade = math.exp(-dt / m)
-    acc = np.zeros(n)
-    for k in range(steps):
-        acc = fade * acc + cell[k]
-        conv[k + 1] = acc
-
     t = omega_star.times
+    big_w = _cumulative_from_right(w, omega_star.t0 / omega_star.steps)
+    # theta(s) = theta*(t0) - int_s^{t0} w dtau, so theta'(s) = w(s)
+    g, dg = coupling_and_rate(params, theta_star[None, :] - big_w, w)
+    conv = relaxation_convolution(t, g, dg, m, np.arange(len(t)))
+
     e = np.exp(-t / m)[:, None]
     out = omega0[None, :] * e + params.nat_freq[None, :] * (1.0 - e) + conv / m
     return GridFunction(omega_star.t0, out)

@@ -240,16 +240,14 @@ def approxaut_bound(params: SystemParams, init: PhaseState, t):
 
 def approxaut_measured(params: SystemParams, traj: Trajectory, ts) -> np.ndarray:
     """Measured LHS of the autonomous approximant inequality, max over channels."""
-    m, kappa, om0, nu = _data(params, traj.states[0])
+    if not params.is_inertial:
+        raise ValueError("inertial bounds require m > 0")
+    m, om0, nu = params.inertia_m, traj.omega_grid[0], params.nat_freq
     ts = np.asarray(ts, dtype=float)
     th, om = traj.eval_many(ts)
-    out = np.empty(ts.shape)
-    e = np.exp(-ts / m)
-    for q in range(len(ts)):
-        c = coupling_term(params, th[q])
-        approx = om0 * e[q] + nu * (1.0 - e[q]) + c * (1.0 - e[q])
-        out[q] = np.abs(om[q] - approx).max()
-    return out
+    e = np.exp(-ts / m)[:, None]
+    approx = om0 * e + nu * (1.0 - e) + coupling_term(params, th) * (1.0 - e)
+    return np.abs(om - approx).max(axis=1)
 
 
 def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> list[BoundCheck]:
@@ -481,13 +479,10 @@ def compare_trajectories(
     n_samples: int = 601,
     c1_layer_factor: float = 5.0,
     strict: bool = False,
-    workers: int = 1,
 ) -> dict:
     """Integrate the zero-inertia solution once and one inertial run per m,
     then certify every phase/velocity/derivative gap bound.
 
-    The per-m integrations are independent jobs and may run on `workers`
-    threads; results are merged in m order, so the output is deterministic.
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
     the consecutive sup-gap ratios used for the linear-in-m verdict.
     """
@@ -501,24 +496,10 @@ def compare_trajectories(
     ts = np.linspace(0.0, horizon, n_samples)
     th0, om0_t = traj0.eval_many(ts)
 
-    def _run_m(m: float) -> Trajectory:
-        params_m = SystemParams(
-            params_base.n, m, params_base.coupling_kappa, params_base.nat_freq
-        )
-        return integrate(params_m, init, horizon, tol)
-
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            inertial = dict(zip(m_list, pool.map(_run_m, m_list)))
-    else:
-        inertial = {m: _run_m(m) for m in m_list}
-
     result: dict = {"m_list": list(m_list), "checks": {}, "sup_gap": {}, "trajectories": {}}
     for m in m_list:
         params_m = SystemParams(params_base.n, m, params_base.coupling_kappa, params_base.nat_freq)
-        traj_m = inertial[m]
+        traj_m = integrate(params_m, init, horizon, tol)
         th_m, om_m = traj_m.eval_many(ts)
 
         gap = th_m - th0

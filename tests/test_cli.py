@@ -9,6 +9,7 @@ import math
 import numpy as np
 import pytest
 
+from synclab import cli
 from synclab.cli import load_config, parse_and_dispatch, validate_report, write_trajectory_csv
 from synclab.experiments import ConfigError
 from synclab.integrate import integrate
@@ -178,8 +179,7 @@ def test_report_validator_rejects_mismatched_verdict():
         validate_report(payload)
 
 
-def test_sweep_subcommand_with_thread_env(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("SYNC_LAB_THREADS", "2")
+def test_sweep_subcommand_dispatches(tmp_path):
     cfg = tmp_path / "s.json"
     cfg.write_text(
         json.dumps(
@@ -196,3 +196,29 @@ def test_sweep_subcommand_with_thread_env(tmp_path, monkeypatch, capsys):
     assert run_cli(["sweep", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 0
     rep = json.loads((tmp_path / "o" / "report.json").read_text())
     assert rep["verdict"] == "pass"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["simulate", "--set", "horizon=NaN"],
+        ["simulate", "--set", "horizon=Infinity"],
+        ["simulate", "--set", "horizon=1e-300"],
+        ["reconstruct", "--set", "t0=NaN"],
+    ],
+)
+def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):
+    assert run_cli([*argv, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config:")
+
+
+def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):
+    def broken(config):
+        raise IndexError("first line\nsecond line")
+
+    monkeypatch.setitem(cli._RUNNERS, "probe", broken)
+    assert run_cli(["probe", "--out", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: internal: IndexError: first line second line"]

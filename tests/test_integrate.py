@@ -9,7 +9,6 @@ import pytest
 
 from synclab.integrate import (
     IntegrationError,
-    dense_eval,
     first_zero,
     integrate,
     taylor_jet,
@@ -29,7 +28,7 @@ def test_single_oscillator_closed_form():
     tol = 1e-10
     traj = integrate(p, PhaseState(0.0, [0.0], [2.0]), 2.0, tol)
     for t in (0.02, 0.15, 0.8, 2.0):
-        st = dense_eval(traj, t)
+        st = traj.state_at_time(t)
         th, om = single_oscillator_solution(0.1, 1.0, 0.0, 2.0, t)
         assert st.theta[0] == pytest.approx(th, abs=tol)
         assert st.omega[0] == pytest.approx(om, abs=10 * tol)
@@ -53,20 +52,20 @@ def test_dense_eval_trivials():
     p = SystemParams(2, 0.2, 1.0, [0.1, -0.1])
     init = PhaseState(0.0, [0.4, 1.0], [0.2, 0.0])
     traj = integrate(p, init, 1.0, 1e-9)
-    st0 = dense_eval(traj, 0.0)
+    st0 = traj.state_at_time(0.0)
     assert np.array_equal(st0.theta, init.theta)
     k = len(traj.grid) // 2
-    st = dense_eval(traj, float(traj.grid[k]))
+    st = traj.state_at_time(float(traj.grid[k]))
     assert np.abs(st.theta - traj.theta_grid[k]).max() < 1e-12
     assert np.abs(st.omega - traj.omega_grid[k]).max() < 1e-12
     with pytest.raises(ValueError):
-        dense_eval(traj, 1.5)
+        traj.state_at_time(1.5)
 
 
 def test_dense_eval_linear_drift_midpoint():
     p = SystemParams(1, 0.0, 1.0, [0.7])
     traj = integrate(p, PhaseState(0.0, [0.2], [0.0]), 1.0, 1e-10)
-    st = dense_eval(traj, 0.5)
+    st = traj.state_at_time(0.5)
     assert st.theta[0] == pytest.approx(0.2 + 0.7 * 0.5, abs=1e-12)
     assert st.omega[0] == pytest.approx(0.7, abs=1e-12)
 
@@ -223,7 +222,7 @@ def test_trajectory_states_and_grid_alignment():
     p = SystemParams(2, 0.2, 1.0, [0.1, -0.1])
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 1.0, 1e-9)
     assert np.all(np.diff(traj.grid) > 0)
-    states = traj.states
-    assert states[0].t == 0.0
-    assert states[-1].t == pytest.approx(1.0)
-    assert np.array_equal(states[3].theta, traj.theta_grid[3])
+    assert traj.grid[0] == 0.0
+    assert traj.grid[-1] == pytest.approx(1.0)
+    assert traj.theta_grid.shape == traj.omega_grid.shape == (len(traj.grid), 2)
+    assert np.array_equal(traj.state_at_time(float(traj.grid[3])).theta, traj.theta_grid[3])

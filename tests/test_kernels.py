@@ -1,0 +1,123 @@
+"""Relaxation moments and the relaxation convolution against quadrature oracles."""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+
+from synclab._kernels import (
+    exp_moments,
+    one_sided_moments,
+    relaxation_convolution,
+    scalar_relax_moments,
+)
+
+_X, _W = np.polynomial.legendre.leggauss(60)
+
+
+def _gauss(f, a: float, b: float) -> float:
+    """60-point Gauss-Legendre rule for f over [a, b]."""
+    u = 0.5 * (b - a) * (_X + 1.0) + a
+    return float(np.sum(0.5 * (b - a) * _W * f(u)))
+
+
+def _oracle(s: float, m: float, p: int) -> tuple[float, float]:
+    mp = _gauss(lambda u: u**p * np.exp(-(s - u) / m), 0.0, s)
+    jp = _gauss(lambda u: u**p * -np.expm1(-(s - u) / m), 0.0, s)
+    return mp, jp
+
+
+# z = s/m from deep in the series branch to far past every switch, plus both
+# sides of each per-order switch
+_Z = np.unique(
+    np.concatenate(
+        [
+            np.logspace(-8, 1, 181),
+            [w * f for w in (1e-3, 0.01, 0.05, 0.1, 0.3, 0.5, 1.0) for f in (1 - 1e-9, 1 + 1e-9)],
+        ]
+    )
+)
+_M = 0.37
+
+
+@pytest.fixture(scope="module")
+def oracle_table():
+    s = _Z * _M
+    return s, {p: np.array([_oracle(si, _M, p) for si in s]) for p in range(4)}
+
+
+def _rel_err(got, want):
+    return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
+
+
+def test_exp_moments_match_oracle(oracle_table):
+    s, table = oracle_table
+    mom = exp_moments(s, _M, 3)
+    for p in range(4):
+        assert _rel_err(mom[p], table[p][:, 0]) < 1e-12, p
+
+
+def test_one_sided_moments_match_oracle(oracle_table):
+    s, table = oracle_table
+    mom, jom = one_sided_moments(s, _M, 3)
+    for p in range(4):
+        assert _rel_err(mom[p], table[p][:, 0]) < 1e-12, p
+        assert _rel_err(jom[p], table[p][:, 1]) < 1e-12, p
+
+
+def test_scalar_relax_moments_match_oracle(oracle_table):
+    s, table = oracle_table
+    got = np.array([scalar_relax_moments(float(si), _M) for si in s])
+    for p in range(3):
+        assert _rel_err(got[:, p], table[p][:, 0]) < 1e-12, p
+        assert _rel_err(got[:, 3 + p], table[p][:, 1]) < 1e-12, p
+
+
+def test_moments_keep_the_input_shape():
+    assert exp_moments(0.2, 1.0, 2)[2].shape == ()
+    mom, jom = one_sided_moments(np.full((3, 2), 0.2), 1.0, 1)
+    assert mom[1].shape == jom[1].shape == (3, 2)
+    with pytest.raises(ValueError):
+        exp_moments(0.2, 1.0, 4)
+
+
+def _hermite(u, a, b, f0, df0, f1, df1):
+    d = b - a
+    x = (u - a) / d
+    h00 = (1 + 2 * x) * (1 - x) ** 2
+    h10 = x * (1 - x) ** 2
+    h01 = x**2 * (3 - 2 * x)
+    h11 = x**2 * (x - 1)
+    return h00 * f0 + h10 * d * df0 + h01 * f1 + h11 * d * df1
+
+
+def test_relaxation_convolution_matches_oracle():
+    rng = np.random.default_rng(11)
+    m = 0.3
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 40)), [3.0]])
+    q = len(nodes)
+    values = rng.normal(0.0, 1.0, (q, 2))
+    slopes = rng.normal(0.0, 3.0, (q, 2))
+    out_idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, q - 1), 9, replace=False)), [q - 1]])
+    assert np.diff(out_idx).max() > 2  # some output cells hold several sub-cells
+
+    got = relaxation_convolution(nodes, values, slopes, m, out_idx)
+    assert got.shape == (len(out_idx), 2)
+    assert np.all(got[0] == 0.0)
+    for j, e in enumerate(out_idx[1:], start=1):
+        t_e = nodes[e]
+        for ch in range(2):
+            want = sum(
+                _gauss(
+                    lambda u, i=i: np.exp(-(t_e - u) / m)
+                    * _hermite(
+                        u, nodes[i], nodes[i + 1],
+                        values[i, ch], slopes[i, ch], values[i + 1, ch], slopes[i + 1, ch],
+                    ),
+                    nodes[i],
+                    nodes[i + 1],
+                )
+                for i in range(e)
+            )
+            assert got[j, ch] == pytest.approx(want, rel=1e-12, abs=1e-13)
+

@@ -17,6 +17,7 @@ from synclab.model import (
     apply_permutation,
     apply_reflection,
     duhamel_residual,
+    duhamel_residual_grid,
     mean_phase_frequency,
     rhs_first_order,
     rhs_second_order,
@@ -108,7 +109,7 @@ def test_duhamel_residual_certified_run():
     p = SystemParams(3, 0.4, 1.2, [0.2, 0.0, -0.2])
     tol = 1e-9
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0, 2.0], [0.1, 0.0, -0.1]), 3.0, tol)
-    for t in (0.5, 1.7, 3.0):
+    for t in (0.0, 0.5, 1.7, 3.0):
         assert np.abs(duhamel_residual(p, traj, t)).max() < 50 * tol
 
 
@@ -129,6 +130,43 @@ def test_duhamel_residual_detects_corruption():
 
     r = duhamel_residual(p, Corrupted(), 1.5)
     assert r == pytest.approx([1.0, 1.0], abs=1e-8)
+
+
+def test_duhamel_residual_detects_corruption_inside_one_long_cell():
+    # exp-stepper cells are many m long; corrupt one of them between its grid
+    # points only, so that a quadrature sampling the grid alone would miss it
+    m, tol = 1e-3, 1e-8
+    p = SystemParams(2, m, 1.0, [0.05, -0.05])
+    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 20.0, tol)
+    assert traj.method == "exp"
+    k = int(np.searchsorted(traj.grid, 12.0))
+    right = traj.grid[k + 1]
+    assert right - traj.grid[k] > 10 * m
+    center, width = right - 3 * m, 2 * m
+
+    def bump(ts):
+        x = (np.asarray(ts) - center) / width
+        inside = np.abs(x) < 1.0
+        b = np.where(inside, (1.0 - x**2) ** 4, 0.0)
+        db = np.where(inside, -8.0 * x * (1.0 - x**2) ** 3 / width, 0.0)
+        return 1e-3 * b, 1e-3 * db
+
+    assert not np.any(bump(traj.grid)[0])  # every grid value stays as it was
+
+    class Corrupted:
+        grid = traj.grid
+        theta_grid = traj.theta_grid
+        omega_grid = traj.omega_grid
+
+        @staticmethod
+        def eval_many(ts):
+            th, om = traj.eval_many(ts)
+            b, db = bump(ts)
+            return th + np.outer(b, [1.0, 0.0]), om + np.outer(db, [1.0, 0.0])
+
+    res = np.abs(duhamel_residual_grid(p, Corrupted()))
+    assert res.max() > 50 * tol
+    assert res[: k + 1].max() < 50 * tol
 
 
 def test_duhamel_residual_rejects_out_of_span():
