@@ -32,6 +32,7 @@ _COEF = [
     [math.factorial(p) / math.factorial(p + j + 1) for j in range(_SERIES_TERMS)]
     for p in range(_MAX_ORDER + 1)
 ]
+_CHAIN_SPAN = 100.0  # kernel widths per block of relaxation_convolution
 
 
 def _horner(z, coefs):
@@ -134,28 +135,27 @@ def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):
     return c0 * mom[0] + c1 * mom[1] + c2 * mom[2] + c3 * mom[3]
 
 
-def relaxation_convolution(nodes, values, slopes, m: float, out_idx) -> np.ndarray:
-    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at each output node t_e.
+def relaxation_convolution(nodes, values, slopes, m: float) -> np.ndarray:
+    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at every node t_e.
 
     H is the piecewise cubic Hermite through (values, slopes), each (Q, n),
-    at the increasing `nodes` (Q,).  `out_idx` lists the output nodes'
-    indices, strictly increasing from 0 to Q - 1, so that consecutive output
-    nodes bound an output cell of one or more sub-cells.  Each sub-cell's
-    exact integral is decayed to the end of its output cell, and the cells
-    are chained by the stable recurrence I_{k+1} = exp(-h_k/m) I_k + local_k.
-    Returns (len(out_idx), n); the first row is zero.
+    at the increasing `nodes` (Q,).  Each cell's exact integral enters with
+    the weight exp(-(t_e - t_{k+1})/m), which factors as exp(-(t_e - t_s)/m)
+    * exp((t_{k+1} - t_s)/m) about a reference node t_s; a cumulative sum
+    then gives every output at once.  The reference moves every _CHAIN_SPAN
+    kernel widths, so the growing factor stays below e^_CHAIN_SPAN, and the
+    blocks are chained by I_{s} = exp(-h/m) I_{s-1} + local_{s-1}.
+    Returns (Q, n); the first row is zero.
     """
-    nodes = np.asarray(nodes, dtype=float)
-    out_idx = np.asarray(out_idx)
-    ends = nodes[out_idx]
-    sub = hermite_cell_integrals(
-        values[:-1], slopes[:-1], values[1:], slopes[1:], np.diff(nodes), m
-    )
-    cell_of_sub = np.repeat(np.arange(len(out_idx) - 1), np.diff(out_idx))
-    sub *= np.exp(-(ends[1:][cell_of_sub] - nodes[1:]) / m)[:, None]
-    local = np.add.reduceat(sub, out_idx[:-1], axis=0)
-    fade = np.exp(-np.diff(ends) / m)
-    out = np.zeros((len(out_idx),) + values.shape[1:])
-    for k in range(len(local)):
-        out[k + 1] = fade[k] * out[k] + local[k]
+    t = np.asarray(nodes, dtype=float)
+    local = hermite_cell_integrals(values[:-1], slopes[:-1], values[1:], slopes[1:], np.diff(t), m)
+    out = np.zeros((len(t),) + values.shape[1:])
+    block = np.floor((t - t[0]) / (_CHAIN_SPAN * m))
+    bounds = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [len(t)]))
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        if s > 0:
+            out[s] = math.exp(-(t[s] - t[s - 1]) / m) * out[s - 1] + local[s - 1]
+        rel = (t[s + 1 : e] - t[s]) / m
+        acc = np.cumsum(np.exp(rel)[:, None] * local[s : e - 1], axis=0)
+        out[s + 1 : e] = np.exp(-rel)[:, None] * (out[s] + acc)
     return out

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .integrate import Trajectory, integrate
+from .integrate import CERTIFICATION_FACTOR, Trajectory, integrate
 from .model import PhaseState, SystemParams
 from .observables import (
     ClusterSpec,
@@ -269,7 +269,7 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
         resid = out["trajectory"].duhamel_sup
         report.add_check(
             f"residual_seed{s}",
-            resid is None or resid <= 50.0 * config.tol,
+            resid is None or resid <= CERTIFICATION_FACTOR * config.tol,
             residual=0.0 if resid is None else resid,
         )
     report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
@@ -308,7 +308,9 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
         report.add_bound_checks(res["checks"][m], prefix=f"m{m:g}/")
         traj = res["trajectories"][m]
         report.add_check(
-            f"residual_m{m:g}", traj.duhamel_sup <= 50.0 * config.tol, residual=traj.duhamel_sup
+            f"residual_m{m:g}",
+            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
+            residual=traj.duhamel_sup,
         )
     for i, r in enumerate(res["ratios"]):
         report.add_check(f"linear_ratio_{i}", 0.40 <= r <= 0.60, ratio=r)
@@ -439,7 +441,7 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
         max_phase_drift=cert.max_phase_drift,
     )
     report.add_check(
-        "residual", traj.duhamel_sup <= 50.0 * config.tol, residual=traj.duhamel_sup
+        "residual", traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol, residual=traj.duhamel_sup
     )
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
     report.wall_time_s = time.perf_counter() - t_start
@@ -588,7 +590,9 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
     cert = lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
     if params.is_inertial:
         report.add_check(
-            "residual", traj.duhamel_sup <= 50.0 * config.tol, residual=traj.duhamel_sup
+            "residual",
+            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
+            residual=traj.duhamel_sup,
         )
     else:
         report.add_check("residual", True, residual=0.0)

@@ -3,14 +3,17 @@
 Two steppers share one Trajectory contract:
 
 * an embedded Dormand-Prince 5(4) pair with PI step control and the standard
-  quartic dense-output polynomial, used whenever the inertia is resolvable
-  (step capped at min(m/5, 0.05/kappa) for m > 0, 0.05/kappa for m = 0);
+  quartic dense-output polynomial, used whenever the inertia is resolvable;
 * an integrating-factor stepper for m below 1e-4 * horizon, which solves the
   velocity relaxation exactly per step and models the coupling by a quadratic
   fit through the step endpoints and midpoint (step doubling for control).
 
+In both, error control and the remaining span alone set the step: the first
+attempt spans the whole horizon and rejections shrink it.
+
 Every inertial trajectory is certified on construction: the residual of the
-velocity integral representation must stay below 50 * tol at all grid points.
+velocity integral representation must stay below 50 * tol at every grid point
+and at most m/10 apart between them.
 """
 
 from __future__ import annotations
@@ -170,19 +173,14 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
     the 50*tol threshold to hold independently of the tolerance regime.
     """
     m = params.inertia_m
-    kappa = params.coupling_kappa
     n = params.n
     if params.is_inertial:
-        cap = min(m / 5.0, 0.05 / kappa)
-
         def f(y):
             th, om = y[:n], y[n:]
             return np.concatenate([om, (params.nat_freq - om + _model.coupling_term(params, th)) / m])
 
         y = np.concatenate([theta0, omega0])
     else:
-        cap = 0.05 / kappa
-
         def f(y):
             return rhs_first_order(params, y)
 
@@ -190,7 +188,7 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
 
     dim = y.shape[0]
     t = 0.0
-    h = min(cap, horizon)
+    h = horizon
     err_prev = 1.0
     k_stages = np.empty((7, dim))
     k_stages[6] = f(y)  # FSAL seed
@@ -208,7 +206,7 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
             raise IntegrationError(
                 f"step budget exhausted at t={t:.6g} (h={h:.3g}, tol={tol:.1g})"
             )
-        h = min(h, cap, horizon - t)
+        h = min(h, horizon - t)
         k_stages[0] = k_stages[6]
         for i in range(1, 7):
             yi = y + h * (k_stages[:i].T @ _A[i])
@@ -278,15 +276,13 @@ def _exp_substep(params, theta0, omega0, h, g_fun, n_corr=3):
 
 def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
     m = params.inertia_m
-    kappa = params.coupling_kappa
-    cap = 0.05 / kappa
 
     def g_fun(th):
         return params.nat_freq + _model.coupling_term(params, th)
 
     t = 0.0
     theta, omega = np.array(theta0), np.array(omega0)
-    h = min(cap, horizon)
+    h = horizon
 
     grid = [0.0]
     thetas = [theta.copy()]
@@ -297,7 +293,7 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
     while t < horizon - 1e-14 * max(1.0, horizon):
         if steps >= max_steps:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
-        h = min(h, cap, horizon - t)
+        h = min(h, horizon - t)
         th_f, om_f, _ = _exp_substep(params, theta, omega, h, g_fun)
         th_a, om_a, mod_a = _exp_substep(params, theta, omega, h / 2.0, g_fun)
         th_b, om_b, mod_b = _exp_substep(params, th_a, om_a, h / 2.0, g_fun)

@@ -146,18 +146,19 @@ def rhs_first_order(params: SystemParams, theta: Sequence[float]) -> np.ndarray:
     return params.nat_freq + coupling_term(params, theta)
 
 
-def _velocity_residual(params: SystemParams, eval_many, nodes, omega) -> np.ndarray:
-    """Residual of the velocity integral representation at each of `nodes`.
+def _velocity_residual(params: SystemParams, eval_many, nodes):
+    """Residual of the velocity integral representation, sampled densely.
 
     residual_i(t) = omega_i(t) - [omega_i(0) e^{-t/m} + nu_i (1 - e^{-t/m})
                     + (1/m) int_0^t e^{-(t-s)/m} c_i(s) ds],
 
-    with `nodes` increasing from t = 0 and `omega` (len(nodes), n) the
-    velocities there.  Each cell between nodes is split into equal sub-cells
-    below the kernel scale m/10; `eval_many` gives (theta, omega) at the
-    sub-nodes, and the coupling is replaced by its cubic Hermite model there
-    (values and exact time derivatives), so the quadrature error stays far
-    below the certification threshold even for t >> m.
+    with `nodes` increasing from t = 0.  Each cell between nodes is split
+    into equal sub-cells below the kernel scale m/10; `eval_many` gives
+    (theta, omega) at the sub-nodes, and the coupling is replaced by its
+    cubic Hermite model there (values and exact time derivatives), so the
+    quadrature error stays far below the certification threshold even for
+    t >> m.  It is taken at every sub-node, so a defect anywhere in a cell,
+    however long, shows.  Returns it (Q, n) and where `nodes` sit among them.
     """
     m = params.inertia_m
     widths = np.diff(nodes)
@@ -167,21 +168,26 @@ def _velocity_residual(params: SystemParams, eval_many, nodes, omega) -> np.ndar
     j = np.arange(out_idx[-1]) - out_idx[cell]
     ts = np.append(j * (widths / counts)[cell] + nodes[cell], nodes[-1])
 
-    g, dg = coupling_and_rate(params, *eval_many(ts))
-    conv = relaxation_convolution(ts, g, dg, m, out_idx) / m
-    decay = np.exp(-nodes / m)[:, None]
+    theta, omega = eval_many(ts)
+    g, dg = coupling_and_rate(params, theta, omega)
+    conv = relaxation_convolution(ts, g, dg, m) / m
+    decay = np.exp(-ts / m)[:, None]
     model = omega[0][None, :] * decay + params.nat_freq[None, :] * (1.0 - decay) + conv
-    return omega - model
+    return omega - model, out_idx
 
 
 def duhamel_residual_grid(params: SystemParams, traj) -> np.ndarray:
-    """Residual of the velocity integral representation at every grid point.
+    """Largest residual magnitude of the velocity integral representation per grid cell.
 
-    It vanishes identically along exact solutions.  Returns (K, n).
+    Row 0 is the residual at t = 0; row k > 0 the largest one over the cell
+    (t_{k-1}, t_k], sampled every m/10 on the dense output.  It vanishes
+    identically along exact solutions.  Returns (K, n).
     """
     if not params.is_inertial:
         raise ValueError("Duhamel residual is defined for m > 0 only")
-    return _velocity_residual(params, traj.eval_many, traj.grid, traj.omega_grid)
+    res, out_idx = _velocity_residual(params, traj.eval_many, traj.grid)
+    res = np.abs(res)
+    return np.concatenate([res[:1], np.maximum.reduceat(res[1:], out_idx[:-1], axis=0)])
 
 
 def duhamel_residual(params: SystemParams, traj, t: float) -> np.ndarray:
@@ -196,10 +202,7 @@ def duhamel_residual(params: SystemParams, traj, t: float) -> np.ndarray:
         raise ValueError("t outside the trajectory span")
     t = min(max(t, grid[0]), grid[-1])
     k = int(np.searchsorted(grid, t, side="left"))
-    nodes = np.append(grid[:k], t)
-    _, omega_t = traj.eval_many(nodes[-1:])
-    omega = np.concatenate([traj.omega_grid[:k], omega_t])
-    return _velocity_residual(params, traj.eval_many, nodes, omega)[-1]
+    return _velocity_residual(params, traj.eval_many, np.append(grid[:k], t))[0][-1]
 
 
 def apply_galilean(params: SystemParams, init_state: PhaseState, shift: GalileanShift):

@@ -136,17 +136,14 @@ def xi_functional(m: float, kappa: float, nu_a, omega0_a, eta: float) -> float:
     return base + tail
 
 
-def _sample_times(traj: Trajectory, t_from: float, t_to: float, max_points: int = 2000):
+def _sample_times(traj: Trajectory, t_from: float, t_to: float) -> np.ndarray:
+    """2001 evenly spaced times over [t_from, t_to], and every grid point there.
+
+    The even sample covers the settled stretches, where the step grid thins out.
+    """
     grid = traj.grid
-    sel = grid[(grid >= t_from - 1e-12) & (grid <= t_to + 1e-12)]
-    if len(sel) > max_points:
-        idx = np.unique(np.linspace(0, len(sel) - 1, max_points).astype(int))
-        sel = sel[idx]
-    if len(sel) == 0 or sel[0] > t_from + 1e-12:
-        sel = np.concatenate([[t_from], sel])
-    if sel[-1] < t_to - 1e-12:
-        sel = np.concatenate([sel, [t_to]])
-    return sel
+    inside = grid[(grid > t_from) & (grid < t_to)]
+    return np.union1d(np.linspace(t_from, t_to, 2001), inside)
 
 
 def cluster_stability_check(traj: Trajectory, spec: ClusterSpec, t1: float) -> dict:

@@ -133,7 +133,7 @@ def contraction_map(
     big_w = _cumulative_from_right(w, omega_star.t0 / omega_star.steps)
     # theta(s) = theta*(t0) - int_s^{t0} w dtau, so theta'(s) = w(s)
     g, dg = coupling_and_rate(params, theta_star[None, :] - big_w, w)
-    conv = relaxation_convolution(t, g, dg, m, np.arange(len(t)))
+    conv = relaxation_convolution(t, g, dg, m)
 
     e = np.exp(-t / m)[:, None]
     out = omega0[None, :] * e + params.nat_freq[None, :] * (1.0 - e) + conv / m
@@ -215,16 +215,12 @@ def reconstruct_velocity(
 def determinability_threshold(kappa: float, m: float) -> float:
     """Largest elapsed time for which (theta(t*), omega(0)) decides omega(t*).
 
-    Infinite for m*kappa <= 1/4; otherwise
-    pi*m/sqrt(4mk - 1) + (2m/sqrt(4mk - 1)) * asin(1/sqrt(4mk)).
+    This is the positivity window T*(m, 1, kappa): infinite for m*kappa <= 1/4,
+    otherwise pi*m/sqrt(4mk - 1) + (2m/sqrt(4mk - 1)) * asin(1/sqrt(4mk)).
     """
     if kappa <= 0 or m <= 0:
         raise ValueError("kappa and m must be positive")
-    mk = m * kappa
-    if mk <= 0.25:
-        return math.inf
-    root = math.sqrt(4.0 * mk - 1.0)
-    return math.pi * m / root + (2.0 * m / root) * math.asin(1.0 / math.sqrt(4.0 * mk))
+    return sturm_picone_tstar(m, 1.0, kappa)
 
 
 def sturm_picone_tstar(a: float, b: float, c: float) -> float:

@@ -22,7 +22,7 @@ from scipy.integrate import quad
 
 from .integrate import Trajectory, integrate, taylor_jet
 from .model import PhaseState, SystemParams, coupling_term
-from .observables import diameter
+from .observables import _sample_times, diameter
 
 __all__ = [
     "BoundCheck",
@@ -251,7 +251,7 @@ def approxaut_measured(params: SystemParams, traj: Trajectory, ts) -> np.ndarray
 
 
 def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> list[BoundCheck]:
-    """Velocity envelope inequalities at every grid point (m > 0).
+    """Velocity envelope inequalities on the dense output at `_sample_times` (m > 0).
 
     (1) e^{-t/m} w0_i + (1-e^{-t/m})(nu_i - k) <= w_i(t)
         <= e^{-t/m} w0_i + (1-e^{-t/m})(nu_i + k);
@@ -265,8 +265,8 @@ def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> li
         slack = 10.0 * traj.tol
     m, kappa = params.inertia_m, params.coupling_kappa
     nu = params.nat_freq
-    t = traj.grid
-    om = traj.omega_grid
+    t = _sample_times(traj, 0.0, traj.horizon)
+    _, om = traj.eval_many(t)
     om0 = om[0]
     e = np.exp(-t / m)[:, None]
 

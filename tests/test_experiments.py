@@ -9,6 +9,7 @@ import pytest
 
 from synclab.experiments import (
     ScenarioConfig,
+    _sync_scenario,
     draw_initial_phases,
     probe_conjecture_r,
     run_cluster_experiment,
@@ -83,6 +84,17 @@ def test_sync_smallness_scaling_never_flips():
         outcomes.append(run_sync_certification(cfg).verdict)
     assert outcomes[0]
     assert all(outcomes)
+
+
+@pytest.mark.parametrize("seed, n", [(42, 2), (43, 3)])
+def test_step_count_follows_the_dynamics(seed, n):
+    # the criterion-08 desk runs lock well before t = 200; past that the slow
+    # flow is still, so twice the horizon may not cost twice the steps
+    points = []
+    for horizon in (200.0, 400.0):
+        cfg = ScenarioConfig(seed=seed, n=n, horizon=horizon, tol=1e-8, eps=0.05)
+        points.append(len(_sync_scenario(cfg, 0)["trajectory"].grid))
+    assert points[1] < 1.5 * points[0], points
 
 
 def test_identical_comparison_zero_spread_trivial():

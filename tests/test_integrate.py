@@ -6,14 +6,16 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
     IntegrationError,
     first_zero,
     integrate,
     taylor_jet,
 )
-from synclab.model import PhaseState, SystemParams
+from synclab.model import PhaseState, SystemParams, coupling_term, rhs_first_order
 from synclab.tikhonov import propagation_bounds_check
 
 
@@ -79,16 +81,16 @@ def test_integrate_validation():
         integrate(p, init, 1.0, 1e-2)
     with pytest.raises(ValueError):
         integrate(p, init, 1.0, 1e-14)
+    # the budget needs a system that moves: a still one is done in one step
+    moving = SystemParams(2, 0.1, 1.0, [0.5, -0.5])
     with pytest.raises(IntegrationError):
-        integrate(p, init, 1.0, 1e-9, max_steps=3)
+        integrate(moving, PhaseState(0.0, [0.0, 1.0], [1.0, -1.0]), 10.0, 1e-9, max_steps=3)
 
 
 def test_first_order_omega_slaved_to_phases():
     p = SystemParams(3, 0.0, 1.3, [0.4, 0.0, -0.4])
     init = PhaseState(0.0, [0.0, 1.0, 2.0], [9.9, 9.9, 9.9])  # omega0 ignored
     traj = integrate(p, init, 1.0, 1e-9)
-    from synclab.model import rhs_first_order
-
     for k in (0, len(traj.grid) // 2, -1):
         expect = rhs_first_order(p, traj.theta_grid[k])
         assert np.abs(traj.omega_grid[k] - expect).max() < 1e-12
@@ -108,8 +110,6 @@ def test_taylor_jet_first_coefficients_match_rhs():
 
     p0 = SystemParams(3, 0.0, 1.0, p.nat_freq)
     jet0 = taylor_jet(p0, state, 2)
-    from synclab.model import rhs_first_order
-
     assert jet0.coeffs[1] == pytest.approx(rhs_first_order(p0, state.theta), rel=1e-13)
 
 
@@ -216,6 +216,69 @@ def test_exp_branch_matches_rk_branch():
     thb, omb = short.eval_many(ts)
     assert np.abs(tha - thb).max() < 1e-7
     assert np.abs(oma - omb).max() < 1e-7
+
+
+def _dop853_reference(params, init, horizon, ts):
+    n, m = params.n, params.inertia_m
+    if params.is_inertial:
+        y0 = np.concatenate([init.theta, init.omega])
+
+        def f(_t, y):
+            return np.concatenate(
+                [y[n:], (params.nat_freq - y[n:] + coupling_term(params, y[:n])) / m]
+            )
+    else:
+        y0 = np.array(init.theta)
+
+        def f(_t, y):
+            return rhs_first_order(params, y)
+
+    sol = solve_ivp(f, (0.0, horizon), y0, method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts)
+    theta = sol.y[:n].T
+    omega = sol.y[n:].T if params.is_inertial else rhs_first_order(params, theta)
+    return theta, omega
+
+
+def _dense_error(traj, init):
+    # grid points, and the 0.13 point and the midpoint of every cell
+    grid = traj.grid
+    cells = np.diff(grid)
+    ts = np.sort(np.concatenate([grid, grid[:-1] + 0.13 * cells, grid[:-1] + 0.5 * cells]))
+    theta, omega = traj.eval_many(ts)
+    theta_ref, omega_ref = _dop853_reference(traj.params, init, traj.horizon, ts)
+    return max(np.abs(theta - theta_ref).max(), np.abs(omega - omega_ref).max())
+
+
+@pytest.mark.parametrize(
+    "m, n, horizon, method",
+    [
+        (1e-3, 3, 20.0, "exp"),
+        (0.3, 4, 10.0, "rk45"),
+        (0.0, 4, 10.0, "rk45"),
+        (0.0, 4, 200.0, "rk45"),  # locks: cells grow to several time units
+    ],
+)
+def test_dense_output_between_grid_points(m, n, horizon, method):
+    # the lock certificate and the cluster check sample between grid points
+    rng = np.random.default_rng(11)
+    p = SystemParams(n, m, 1.0, rng.normal(0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0, 2 * np.pi, n), rng.normal(0, 0.5, n))
+    tol = 1e-8
+    traj = integrate(p, init, horizon, tol)
+    assert traj.method == method
+    err = _dense_error(traj, init)
+    assert err <= 50 * tol, err
+
+
+def test_dense_output_on_a_desk_run():
+    # criterion-08 seed 42: the first attempted step spans all 200 time units
+    # and accepted steps may grow 5x, so a long step accepted on a wrong error
+    # estimate would show here against the independent reference
+    cfg = ScenarioConfig(seed=42, n=2, horizon=200.0, tol=1e-8, eps=0.05)
+    traj = _sync_scenario(cfg, 0)["trajectory"]
+    assert traj.method == "exp" and np.diff(traj.grid).max() > 100 * traj.params.inertia_m
+    err = _dense_error(traj, traj.state_at_time(0.0))
+    assert err <= 50 * cfg.tol, err
 
 
 def test_trajectory_states_and_grid_alignment():

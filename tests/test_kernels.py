@@ -92,19 +92,25 @@ def _hermite(u, a, b, f0, df0, f1, df1):
 
 
 def test_relaxation_convolution_matches_oracle():
+    _check_convolution_against_oracle(0.3)
+
+
+def test_relaxation_convolution_chains_blocks():
+    # 3 time units are 150 kernel widths: two blocks of the cumulative sum
+    _check_convolution_against_oracle(0.02)
+
+
+def _check_convolution_against_oracle(m):
     rng = np.random.default_rng(11)
-    m = 0.3
     nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 40)), [3.0]])
     q = len(nodes)
     values = rng.normal(0.0, 1.0, (q, 2))
     slopes = rng.normal(0.0, 3.0, (q, 2))
-    out_idx = np.concatenate([[0], np.sort(rng.choice(np.arange(1, q - 1), 9, replace=False)), [q - 1]])
-    assert np.diff(out_idx).max() > 2  # some output cells hold several sub-cells
 
-    got = relaxation_convolution(nodes, values, slopes, m, out_idx)
-    assert got.shape == (len(out_idx), 2)
+    got = relaxation_convolution(nodes, values, slopes, m)
+    assert got.shape == (q, 2)
     assert np.all(got[0] == 0.0)
-    for j, e in enumerate(out_idx[1:], start=1):
+    for e in range(1, q):
         t_e = nodes[e]
         for ch in range(2):
             want = sum(
@@ -119,5 +125,5 @@ def test_relaxation_convolution_matches_oracle():
                 )
                 for i in range(e)
             )
-            assert got[j, ch] == pytest.approx(want, rel=1e-12, abs=1e-13)
+            assert got[e, ch] == pytest.approx(want, rel=1e-12, abs=1e-13)
 

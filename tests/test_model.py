@@ -133,8 +133,18 @@ def test_duhamel_residual_detects_corruption():
 
 
 def test_duhamel_residual_detects_corruption_inside_one_long_cell():
+    _check_corruption_inside_one_long_cell("near_right_end")
+
+
+def test_duhamel_residual_detects_corruption_mid_cell():
+    # the kernel fades a defect by e^{-1} per m before the next grid point,
+    # so only a residual taken between grid points sees this one
+    _check_corruption_inside_one_long_cell("mid_cell")
+
+
+def _check_corruption_inside_one_long_cell(where):
     # exp-stepper cells are many m long; corrupt one of them between its grid
-    # points only, so that a quadrature sampling the grid alone would miss it
+    # points only
     m, tol = 1e-3, 1e-8
     p = SystemParams(2, m, 1.0, [0.05, -0.05])
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 20.0, tol)
@@ -142,7 +152,8 @@ def test_duhamel_residual_detects_corruption_inside_one_long_cell():
     k = int(np.searchsorted(traj.grid, 12.0))
     right = traj.grid[k + 1]
     assert right - traj.grid[k] > 10 * m
-    center, width = right - 3 * m, 2 * m
+    center = right - 3 * m if where == "near_right_end" else 0.5 * (traj.grid[k] + right)
+    width = 2 * m
 
     def bump(ts):
         x = (np.asarray(ts) - center) / width
@@ -164,8 +175,8 @@ def test_duhamel_residual_detects_corruption_inside_one_long_cell():
             b, db = bump(ts)
             return th + np.outer(b, [1.0, 0.0]), om + np.outer(db, [1.0, 0.0])
 
-    res = np.abs(duhamel_residual_grid(p, Corrupted()))
-    assert res.max() > 50 * tol
+    res = duhamel_residual_grid(p, Corrupted())
+    assert res[k + 1].max() > 50 * tol  # the corrupted cell itself
     assert res[: k + 1].max() < 50 * tol
 
 

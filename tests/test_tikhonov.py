@@ -242,12 +242,21 @@ def test_propagation_check_flags_corruption(sweep_result):
 
     traj = sweep_result["trajectories"][0.1]
 
+    def shift(ts):
+        return 3.0 * (1.0 - np.exp(-np.asarray(ts) / 0.1))[:, None]
+
     class Corrupted:
         params = traj.params
         tol = traj.tol
         grid = traj.grid
+        horizon = traj.horizon
         theta_grid = traj.theta_grid
-        omega_grid = traj.omega_grid + 3.0 * (1.0 - np.exp(-traj.grid / 0.1))[:, None]
+        omega_grid = traj.omega_grid + shift(traj.grid)
+
+        @staticmethod
+        def eval_many(ts):
+            th, om = traj.eval_many(ts)
+            return th, om + shift(ts)
 
     checks = propagation_bounds_check(Corrupted())
     assert not all(c.passed for c in checks)
