@@ -22,6 +22,10 @@ import numpy as np
 
 from ._kernels import relaxation_convolution
 
+# Sub-nodes times oscillators per chunk of the velocity certificate; it bounds
+# the certifier's arrays whatever horizon/m.
+_CHUNK_ENTRIES = 1 << 16
+
 __all__ = [
     "SystemParams",
     "PhaseState",
@@ -108,28 +112,36 @@ class GalileanShift:
                 raise ValueError("shift components must be finite")
 
 
-def _differences(x) -> np.ndarray:
-    """d[..., i, l] = x_l - x_i over the last axis of x."""
-    x = np.asarray(x, dtype=float)
-    return x[..., None, :] - x[..., :, None]
-
-
 def coupling_term(params: SystemParams, theta: np.ndarray) -> np.ndarray:
     """(kappa/N) * sum_l sin(theta_l - theta_i) over phases of shape (..., n)."""
-    return (params.coupling_kappa / params.n) * np.sin(_differences(theta)).sum(axis=-1)
+    theta = np.asarray(theta, dtype=float)
+    diff = theta[..., None, :] - theta[..., :, None]
+    return (params.coupling_kappa / params.n) * np.sin(diff).sum(axis=-1)
 
 
 def coupling_and_rate(params: SystemParams, theta: np.ndarray, omega: np.ndarray):
     """The coupling c_i and its time derivative along (theta, theta' = omega).
 
-    dc_i/dt = (kappa/N) * sum_l cos(theta_l - theta_i) (omega_l - omega_i);
+    Mean-field form, O(n) per state (Strogatz, Physica D 143, 2000): with
+    S = sum_l sin theta_l, C = sum_l cos theta_l, S_w = sum_l sin theta_l omega_l
+    and C_w = sum_l cos theta_l omega_l,
+
+        c_i     = (kappa/N) (S cos theta_i - C sin theta_i),
+        dc_i/dt = (kappa/N) sum_l cos(theta_l - theta_i) (omega_l - omega_i)
+                = (kappa/N) (C_w cos theta_i + S_w sin theta_i
+                             - omega_i (C cos theta_i + S sin theta_i));
+
     theta and omega have shape (..., n).
     """
-    diff = _differences(theta)
+    sin, cos = np.sin(theta), np.cos(theta)
     k = params.coupling_kappa / params.n
-    c = k * np.sin(diff).sum(axis=-1)
-    dc = k * (np.cos(diff) * _differences(omega)).sum(axis=-1)
-    return c, dc
+    s = sin.sum(axis=-1, keepdims=True)
+    c = cos.sum(axis=-1, keepdims=True)
+    s_w = (sin * omega).sum(axis=-1, keepdims=True)
+    c_w = (cos * omega).sum(axis=-1, keepdims=True)
+    g = k * (s * cos - c * sin)
+    dg = k * (c_w * cos + s_w * sin - omega * (c * cos + s * sin))
+    return g, dg
 
 
 def rhs_second_order(params: SystemParams, state: PhaseState):
@@ -146,6 +158,23 @@ def rhs_first_order(params: SystemParams, theta: Sequence[float]) -> np.ndarray:
     return params.nat_freq + coupling_term(params, theta)
 
 
+def _chunk_residual(params: SystemParams, eval_many, ts, carry):
+    """Signed residual (Q, n) at the sub-nodes `ts` and the model velocity at ts[-1].
+
+    `carry` is the model velocity at ts[0]; None at t = 0, where it is omega(0).
+    A function of its own so that a chunk's arrays are freed before the next
+    chunk is evaluated.
+    """
+    m = params.inertia_m
+    theta, omega = eval_many(ts)
+    g, dg = coupling_and_rate(params, theta, omega)
+    conv = relaxation_convolution(ts, g, dg, m) / m
+    decay = np.exp(-(ts - ts[0]) / m)[:, None]
+    start = omega[0] if carry is None else carry
+    model = start * decay + params.nat_freq * (1.0 - decay) + conv
+    return omega - model, model[-1]
+
+
 def _velocity_residual(params: SystemParams, eval_many, nodes):
     """Residual of the velocity integral representation, sampled densely.
 
@@ -158,36 +187,50 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
     cubic Hermite model there (values and exact time derivatives), so the
     quadrature error stays far below the certification threshold even for
     t >> m.  It is taken at every sub-node, so a defect anywhere in a cell,
-    however long, shows.  Returns it (Q, n) and where `nodes` sit among them.
+    however long, shows.
+
+    The sub-nodes are walked in chunks of about _CHUNK_ENTRIES / n, so
+    memory is O(chunk * n) whatever horizon/m.  Consecutive chunks share one
+    node t_a and hand on the model velocity there; from it the model reads
+    carry e^{-(t-t_a)/m} + nu (1 - e^{-(t-t_a)/m}) + (1/m) int_{t_a}^t ...,
+    which equals the formula above.  Returns the largest residual magnitude
+    per cell (K, n) -- row 0 at t = 0, row k over (nodes[k-1], nodes[k]] --
+    and the signed residual at nodes[-1] (n,).
     """
     m = params.inertia_m
     widths = np.diff(nodes)
     counts = np.maximum(1, np.ceil(widths / (m / 10.0) - 1e-12).astype(int))
     out_idx = np.concatenate(([0], np.cumsum(counts)))
-    cell = np.repeat(np.arange(len(widths)), counts)
-    j = np.arange(out_idx[-1]) - out_idx[cell]
-    ts = np.append(j * (widths / counts)[cell] + nodes[cell], nodes[-1])
+    spacing = np.append(widths / counts, 0.0)  # the last sub-node is nodes[-1]
+    total = int(out_idx[-1])
+    chunk = max(1, _CHUNK_ENTRIES // params.n)
+    cell_max = np.zeros((len(nodes), params.n))
+    carry = None
+    for a in range(0, max(total, 1), chunk):  # one pass even for nodes = [0]
+        j = np.arange(a, min(a + chunk, total) + 1)
+        cell = np.searchsorted(out_idx, j, side="right") - 1
+        ts = (j - out_idx[cell]) * spacing[cell] + nodes[cell]
+        res, carry = _chunk_residual(params, eval_many, ts, carry)
 
-    theta, omega = eval_many(ts)
-    g, dg = coupling_and_rate(params, theta, omega)
-    conv = relaxation_convolution(ts, g, dg, m) / m
-    decay = np.exp(-ts / m)[:, None]
-    model = omega[0][None, :] * decay + params.nat_freq[None, :] * (1.0 - decay) + conv
-    return omega - model, out_idx
+        rows = np.searchsorted(out_idx, j, side="left")
+        starts = np.flatnonzero(np.diff(rows, prepend=-1))
+        seg = rows[starts]
+        chunk_max = np.maximum.reduceat(np.abs(res), starts, axis=0)
+        cell_max[seg] = np.maximum(cell_max[seg], chunk_max)
+    return cell_max, res[-1]
 
 
 def duhamel_residual_grid(params: SystemParams, traj) -> np.ndarray:
     """Largest residual magnitude of the velocity integral representation per grid cell.
 
     Row 0 is the residual at t = 0; row k > 0 the largest one over the cell
-    (t_{k-1}, t_k], sampled every m/10 on the dense output.  It vanishes
-    identically along exact solutions.  Returns (K, n).
+    (t_{k-1}, t_k], sampled at most m/10 apart on the dense output in one
+    streamed pass of bounded memory.  It vanishes identically along exact
+    solutions.  Returns (K, n).
     """
     if not params.is_inertial:
         raise ValueError("Duhamel residual is defined for m > 0 only")
-    res, out_idx = _velocity_residual(params, traj.eval_many, traj.grid)
-    res = np.abs(res)
-    return np.concatenate([res[:1], np.maximum.reduceat(res[1:], out_idx[:-1], axis=0)])
+    return _velocity_residual(params, traj.eval_many, traj.grid)[0]
 
 
 def duhamel_residual(params: SystemParams, traj, t: float) -> np.ndarray:
@@ -202,7 +245,7 @@ def duhamel_residual(params: SystemParams, traj, t: float) -> np.ndarray:
         raise ValueError("t outside the trajectory span")
     t = min(max(t, grid[0]), grid[-1])
     k = int(np.searchsorted(grid, t, side="left"))
-    return _velocity_residual(params, traj.eval_many, np.append(grid[:k], t))[0][-1]
+    return _velocity_residual(params, traj.eval_many, np.append(grid[:k], t))[1]
 
 
 def apply_galilean(params: SystemParams, init_state: PhaseState, shift: GalileanShift):

@@ -3,10 +3,15 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
+from synclab import model
 from synclab.integrate import integrate
 from synclab.model import (
     GalileanShift,
@@ -16,6 +21,7 @@ from synclab.model import (
     apply_galilean,
     apply_permutation,
     apply_reflection,
+    coupling_and_rate,
     duhamel_residual,
     duhamel_residual_grid,
     mean_phase_frequency,
@@ -133,16 +139,33 @@ def test_duhamel_residual_detects_corruption():
 
 
 def test_duhamel_residual_detects_corruption_inside_one_long_cell():
-    _check_corruption_inside_one_long_cell("near_right_end")
+    p, traj, k, tol, _, _ = _corrupted_long_cell("near_right_end")
+    _check_flags_corrupted_cell(p, traj, k, tol)
 
 
 def test_duhamel_residual_detects_corruption_mid_cell():
     # the kernel fades a defect by e^{-1} per m before the next grid point,
     # so only a residual taken between grid points sees this one
-    _check_corruption_inside_one_long_cell("mid_cell")
+    p, traj, k, tol, _, _ = _corrupted_long_cell("mid_cell")
+    _check_flags_corrupted_cell(p, traj, k, tol)
 
 
-def _check_corruption_inside_one_long_cell(where):
+@pytest.mark.parametrize("where", ["near_right_end", "mid_cell"])
+def test_corruption_flagged_with_a_chunk_boundary_inside_the_bump(monkeypatch, where):
+    p, traj, k, tol, center, width = _corrupted_long_cell(where)
+    _check_flags_corrupted_cell(p, traj, k, tol)  # records every sub-node
+    # chunks of j // 4 sub-cells start at multiples of it, so one starts at
+    # most 3 sub-nodes (0.3 m) before the bump's centre, sub-node j
+    nodes = np.unique(np.concatenate(traj.queries))
+    j = int(np.searchsorted(nodes, center))
+    monkeypatch.setattr(model, "_CHUNK_ENTRIES", p.n * (j // 4))
+    traj.queries.clear()
+    _check_flags_corrupted_cell(p, traj, k, tol)
+    starts = np.array([q[0] for q in traj.queries[1:]])
+    assert np.any(np.abs(starts - center) < width)
+
+
+def _corrupted_long_cell(where):
     # exp-stepper cells are many m long; corrupt one of them between its grid
     # points only
     m, tol = 1e-3, 1e-8
@@ -168,16 +191,122 @@ def _check_corruption_inside_one_long_cell(where):
         grid = traj.grid
         theta_grid = traj.theta_grid
         omega_grid = traj.omega_grid
+        queries = []  # the sub-nodes of every eval_many call, one per chunk
 
         @staticmethod
         def eval_many(ts):
+            Corrupted.queries.append(np.asarray(ts))
             th, om = traj.eval_many(ts)
             b, db = bump(ts)
             return th + np.outer(b, [1.0, 0.0]), om + np.outer(db, [1.0, 0.0])
 
-    res = duhamel_residual_grid(p, Corrupted())
+    return p, Corrupted(), k, tol, center, width
+
+
+def _check_flags_corrupted_cell(p, traj, k, tol):
+    res = duhamel_residual_grid(p, traj)
     assert res[k + 1].max() > 50 * tol  # the corrupted cell itself
     assert res[: k + 1].max() < 50 * tol
+
+
+def _exp_or_rk45_run(method):
+    if method == "exp":
+        p = SystemParams(2, 1e-3, 1.0, [0.05, -0.05])
+        traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-8)
+    else:
+        p = SystemParams(3, 0.3, 1.0, [0.2, 0.0, -0.2])
+        traj = integrate(p, PhaseState(0.0, [0.0, 1.0, 2.0], [0.1, 0.0, -0.1]), 10.0, 1e-9)
+    assert traj.method == method
+    return p, traj
+
+
+@pytest.mark.parametrize(
+    "method, nodes_per_chunk", [("exp", 64), ("rk45", 2), ("rk45", 3), ("rk45", 7)]
+)
+def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per_chunk):
+    # the exp run has 1.2e5 sub-nodes, so its chunks stay at 64 nodes: about
+    # 1900 chunk boundaries, inside long cells and on grid points alike
+    p, traj = _exp_or_rk45_run(method)
+    default = duhamel_residual_grid(p, traj)
+    t = 0.6 * traj.horizon
+    single = duhamel_residual(p, traj, t)
+    monkeypatch.setattr(model, "_CHUNK_ENTRIES", p.n * nodes_per_chunk)
+    chunked = duhamel_residual_grid(p, traj)
+    assert chunked.shape == default.shape
+    assert np.abs(chunked - default).max() < 1e-14
+    assert np.abs(duhamel_residual(p, traj, t) - single).max() < 1e-14
+
+
+class _RelaxingCluster:
+    """n identical oscillators in one phase: the coupling vanishes, and each
+    follows the single-oscillator relaxation in closed form."""
+
+    def __init__(self, n, m, horizon, cells=1000):
+        self.n, self.m, self.nu, self.omega0 = n, m, 0.3, -0.2
+        self.params = SystemParams(n, m, 1.0, np.full(n, self.nu))
+        self.grid = np.linspace(0.0, horizon, cells + 1)
+
+    def eval_many(self, ts):
+        ts = np.asarray(ts, dtype=float)[:, None]
+        e = np.exp(-ts / self.m)
+        theta = 0.4 + self.nu * ts + self.m * (self.omega0 - self.nu) * (1.0 - e)
+        omega = self.nu + (self.omega0 - self.nu) * e
+        return np.repeat(theta, self.n, axis=1), np.repeat(omega, self.n, axis=1)
+
+
+def _certifier_peak_mib(traj):
+    tracemalloc.start()
+    try:
+        res = duhamel_residual_grid(traj.params, traj)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.shape == (len(traj.grid), traj.n)
+    assert res.max() < 1e-12  # an exact solution
+    return peak / 2**20
+
+
+def test_certifier_memory_does_not_grow_with_horizon_over_m():
+    # 1e6 and 2e6 sub-nodes: one (Q, n) array over all of them would take 15
+    # and 30 MiB at n = 2, one (Q, n, n) array twice that
+    m = 1e-3
+    peak_1 = _certifier_peak_mib(_RelaxingCluster(2, m, 1e5 * m))
+    peak_2 = _certifier_peak_mib(_RelaxingCluster(2, m, 2e5 * m))
+    assert peak_1 < 20.0
+    assert peak_2 < 1.05 * peak_1
+    # at n = 128 one (Q, n, n) array over the 1e4 sub-nodes would take 1.2 GiB
+    assert _certifier_peak_mib(_RelaxingCluster(128, m, 1e3 * m)) < 20.0
+
+
+def _pairwise_coupling_and_rate(kappa, theta, omega):
+    """The direct O(n^2) sums, kept as the oracle of the mean-field form."""
+    d = theta[..., None, :] - theta[..., :, None]
+    w = omega[..., None, :] - omega[..., :, None]
+    n = theta.shape[-1]
+    return kappa / n * np.sin(d).sum(axis=-1), kappa / n * (np.cos(d) * w).sum(axis=-1)
+
+
+@st.composite
+def _phase_batches(draw):
+    n = draw(st.sampled_from([1, 2, 3, 128]))
+    shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=1, max_side=3)) + (n,)
+    theta = draw(hnp.arrays(float, shape, elements=st.floats(-1e3, 1e3)))
+    omega = draw(hnp.arrays(float, shape, elements=st.floats(-10.0, 10.0)))
+    return draw(st.floats(0.1, 10.0)), theta, omega
+
+
+@settings(deadline=None, max_examples=60)
+@given(_phase_batches())
+def test_mean_field_coupling_matches_pairwise(batch):
+    kappa, theta, omega = batch
+    n = theta.shape[-1]
+    g, dg = coupling_and_rate(SystemParams(n, 0.1, kappa, np.zeros(n)), theta, omega)
+    g_ref, dg_ref = _pairwise_coupling_and_rate(kappa, theta, omega)
+    assert g.shape == dg.shape == theta.shape
+    # the oracle rounds theta_l - theta_i, off by up to eps * |theta|
+    scale = 8.0 * kappa * np.finfo(float).eps * (1.0 + np.abs(theta).max())
+    assert np.abs(g - g_ref).max() <= scale
+    assert np.abs(dg - dg_ref).max() <= scale * (1.0 + np.abs(omega).max())
 
 
 def test_duhamel_residual_rejects_out_of_span():
