@@ -13,8 +13,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .experiments import (
     ConfigError,
     ExperimentReport,
@@ -29,6 +27,7 @@ from .experiments import (
     run_tikhonov_sweep,
 )
 from .integrate import IntegrationError, Trajectory
+from .observables import order_parameter
 from .reconstruct import determinability_threshold
 
 __all__ = ["main", "parse_and_dispatch", "load_config", "write_trajectory_csv", "validate_report"]
@@ -50,17 +49,23 @@ _BOOL_FIELDS = {"strict"}
 _STR_FIELDS = {"init_mode"}
 
 
+def _scalar(key: str, value, kind):
+    # JSON reads 1e400 as inf, which int() cannot take
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or (
+        kind is int and isinstance(value, float) and not value.is_integer()
+    ):
+        raise ConfigError(f"field '{key}' takes {'integers' if kind is int else 'numbers'} only")
+    return kind(value)
+
+
 def _coerce(key: str, value):
     if key in _LIST_FIELDS:
         if value is None:
             return None
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
-        return tuple(float(v) if key != "cluster_indices" else int(v) for v in value)
-    if key in _INT_FIELDS:
-        if isinstance(value, bool) or not isinstance(value, (int, float)) or int(value) != value:
-            raise ConfigError(f"field '{key}' must be an integer")
-        return int(value)
+        kind = int if key == "cluster_indices" else float
+        return tuple(_scalar(key, v, kind) for v in value)
     if key in _BOOL_FIELDS:
         if not isinstance(value, bool):
             raise ConfigError(f"field '{key}' must be a boolean")
@@ -69,11 +74,9 @@ def _coerce(key: str, value):
         if not isinstance(value, str):
             raise ConfigError(f"field '{key}' must be a string")
         return value
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"field '{key}' must be a number")
-    return float(value)
+    if key in _INT_FIELDS:
+        return _scalar(key, value, int)
+    return None if value is None else _scalar(key, value, float)
 
 
 def load_config(path: str | None, overrides: dict[str, str]) -> ScenarioConfig:
@@ -108,8 +111,6 @@ def load_config(path: str | None, overrides: dict[str, str]) -> ScenarioConfig:
     try:
         config = ScenarioConfig(**data)
         config.validate()
-    except ConfigError:
-        raise
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
     return config
@@ -129,7 +130,7 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         + ["R", "D_theta", "D_omega"]
     )
     th, om = traj.theta_grid, traj.omega_grid
-    r = np.abs(np.exp(1j * th).mean(axis=1))
+    r = order_parameter(th)
     d_th = th.max(axis=1) - th.min(axis=1)
     d_om = om.max(axis=1) - om.min(axis=1)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -257,13 +258,10 @@ def parse_and_dispatch(argv: list[str]) -> int:
             report = _RUNNERS[sub](config)
         _emit_report(report, out_dir, args.verbose)
         return 0 if report.verdict else 1
-    except ConfigError as exc:
-        print(f"error: config: {exc}", file=sys.stderr)
-        return 2
     except IntegrationError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:  # ConfigError among them
         print(f"error: config: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # never a traceback: exit 1 is reserved for "verdict fail"

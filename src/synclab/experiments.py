@@ -122,6 +122,9 @@ class ScenarioConfig:
                 raise ConfigError("bipolar_eta must lie in (0, pi)")
         if self.seeds < 1:
             raise ConfigError("seeds must be >= 1")
+        idx = self.cluster_indices or ()
+        if not all(isinstance(i, int) and 0 <= i < self.n for i in idx) or len(set(idx)) < len(idx):
+            raise ConfigError("cluster_indices must be distinct integers in 0..n-1")
 
 
 @dataclass
@@ -630,7 +633,7 @@ def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
     t_end = traj.horizon
     ts = np.linspace(t_end * (1.0 - config.window_fraction), t_end, 401)
     th, _ = traj.eval_many(ts)
-    r_vals = np.abs(np.exp(1j * th).mean(axis=1))
+    r_vals = order_parameter(th)
     var_ratio = variance(nu) / config.coupling_kappa**2
     lower = 1.0 - (0.5 + config.eps) * var_ratio
     upper = 1.0 - (0.5 - config.eps) * var_ratio

@@ -395,48 +395,36 @@ def taylor_jet(params: SystemParams, state: PhaseState, order: int) -> TaylorJet
     """Exact solution derivatives at a state via power-series recurrences.
 
     Propagates normalized Taylor coefficients of theta_i together with those
-    of sin/cos of every pairwise difference (s' = c u', c' = -s u' as series
-    convolutions), then reads the next phase coefficient from the equation of
-    motion.  Works for both m > 0 and m = 0.
+    of the phasors z_i = e^{i theta_i}, through z' = i theta' z:
+    z_i[k] = (i/k) sum_{j=1..k} j p_i[j] z_i[k-j].  The coupling coefficient
+    of order k is the mean-field (kappa/N) Im sum_j Z[j] conj(z_i[k-j]) with
+    Z = sum_l z_l, and the equation of motion gives the next phase
+    coefficient.  O(order^2 n); works for both m > 0 and m = 0.
     """
     if not (1 <= order <= MAX_JET_ORDER):
         raise ValueError(f"order must be in 1..{MAX_JET_ORDER}")
     n = params.n
     m = params.inertia_m
-    kappa = params.coupling_kappa
     kk = order
 
-    p = np.zeros((kk + 1, n))  # p[k] = theta^(k)/k!
+    p = np.zeros((kk + 1, n))  # p[k] = theta^(k)/k!; p[1] of m = 0 comes at k = 0
     p[0] = state.theta
     if params.is_inertial:
         p[1] = state.omega
-    else:
-        p[1] = rhs_first_order(params, state.theta)
 
-    u = np.zeros((kk + 1, n, n))  # u[k][i,l] = (theta_l - theta_i) series
-    s = np.zeros_like(u)
-    c = np.zeros_like(u)
-    u[0] = p[0][None, :] - p[0][:, None]
-    s[0] = np.sin(u[0])
-    c[0] = np.cos(u[0])
-
+    z = np.zeros((kk + 1, n), dtype=complex)  # z[k] = series of e^{i theta}
+    z[0] = np.exp(1j * p[0])
+    j = np.arange(kk + 1)[:, None]
     for k in range(0, kk - 1 if params.is_inertial else kk):
-        u[k] = p[k][None, :] - p[k][:, None]
         if k >= 1:
-            # s[k] = (1/k) sum_{j=1..k} j * u[j] * c[k-j]; likewise for c[k]
-            sk = np.zeros((n, n))
-            ck = np.zeros((n, n))
-            for j in range(1, k + 1):
-                sk += j * u[j] * c[k - j]
-                ck -= j * u[j] * s[k - j]
-            s[k] = sk / k
-            c[k] = ck / k
-        rhs_k = (kappa / n) * s[k].sum(axis=1)
+            z[k] = (1j / k) * (j[1 : k + 1] * p[1 : k + 1] * z[k - 1 :: -1]).sum(axis=0)
+        big_z = z[: k + 1].sum(axis=1)
+        rhs_k = (params.coupling_kappa / n) * (big_z @ z[k::-1].conj()).imag
         if k == 0:
             rhs_k = rhs_k + params.nat_freq
         if params.is_inertial:
             p[k + 2] = (rhs_k - (k + 1) * p[k + 1]) / (m * (k + 1) * (k + 2))
-        elif k >= 1:
+        else:
             p[k + 1] = rhs_k / (k + 1)
 
     fact = np.array([math.factorial(k) for k in range(kk + 1)], dtype=float)

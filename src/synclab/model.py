@@ -112,35 +112,36 @@ class GalileanShift:
                 raise ValueError("shift components must be finite")
 
 
+def _mean_field(params: SystemParams, z: np.ndarray):
+    """(kappa/N) Im(Z conj z_i) and Z = sum_l z_l, from phasors z = e^{i theta} (..., n)."""
+    big_z = z.sum(axis=-1, keepdims=True)
+    return (params.coupling_kappa / params.n) * (big_z * z.conj()).imag, big_z
+
+
 def coupling_term(params: SystemParams, theta: np.ndarray) -> np.ndarray:
-    """(kappa/N) * sum_l sin(theta_l - theta_i) over phases of shape (..., n)."""
-    theta = np.asarray(theta, dtype=float)
-    diff = theta[..., None, :] - theta[..., :, None]
-    return (params.coupling_kappa / params.n) * np.sin(diff).sum(axis=-1)
+    """(kappa/N) * sum_l sin(theta_l - theta_i) over phases of shape (..., n).
+
+    Mean-field form, O(n) per state (Strogatz, Physica D 143, 2000): with
+    z_l = e^{i theta_l} and Z = sum_l z_l the sum is Im(Z conj z_i).
+    """
+    return _mean_field(params, np.exp(1j * np.asarray(theta, dtype=float)))[0]
 
 
 def coupling_and_rate(params: SystemParams, theta: np.ndarray, omega: np.ndarray):
     """The coupling c_i and its time derivative along (theta, theta' = omega).
 
-    Mean-field form, O(n) per state (Strogatz, Physica D 143, 2000): with
-    S = sum_l sin theta_l, C = sum_l cos theta_l, S_w = sum_l sin theta_l omega_l
-    and C_w = sum_l cos theta_l omega_l,
+    With z_l = e^{i theta_l}, Z = sum_l z_l and W = sum_l omega_l z_l,
 
-        c_i     = (kappa/N) (S cos theta_i - C sin theta_i),
+        c_i     = (kappa/N) Im(Z conj z_i),
         dc_i/dt = (kappa/N) sum_l cos(theta_l - theta_i) (omega_l - omega_i)
-                = (kappa/N) (C_w cos theta_i + S_w sin theta_i
-                             - omega_i (C cos theta_i + S sin theta_i));
+                = (kappa/N) Re((W - omega_i Z) conj z_i);
 
     theta and omega have shape (..., n).
     """
-    sin, cos = np.sin(theta), np.cos(theta)
-    k = params.coupling_kappa / params.n
-    s = sin.sum(axis=-1, keepdims=True)
-    c = cos.sum(axis=-1, keepdims=True)
-    s_w = (sin * omega).sum(axis=-1, keepdims=True)
-    c_w = (cos * omega).sum(axis=-1, keepdims=True)
-    g = k * (s * cos - c * sin)
-    dg = k * (c_w * cos + s_w * sin - omega * (c * cos + s * sin))
+    z = np.exp(1j * np.asarray(theta, dtype=float))
+    g, big_z = _mean_field(params, z)
+    big_w = (omega * z).sum(axis=-1, keepdims=True)
+    dg = (params.coupling_kappa / params.n) * ((big_w - omega * big_z) * z.conj()).real
     return g, dg
 
 

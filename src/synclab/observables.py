@@ -69,10 +69,14 @@ class LockCertificate:
     limiting_r_estimate: float
 
 
-def order_parameter(theta: Sequence[float]) -> float:
-    """R = |mean of exp(i*theta_j)|, in [0, 1]."""
+def order_parameter(theta):
+    """R = |mean_j exp(i*theta_j)| over theta (..., n), clipped to [0, 1] against rounding.
+
+    A float for one phase vector, an array of shape (...) otherwise.
+    """
     th = np.asarray(theta, dtype=float)
-    return float(abs(np.exp(1j * th).mean()))
+    r = np.clip(np.abs(np.exp(1j * th).mean(axis=-1)), 0.0, 1.0)
+    return float(r) if r.ndim == 0 else r
 
 
 def diameter(x: Sequence[float]) -> float:

@@ -11,7 +11,7 @@ import pytest
 
 from synclab import cli
 from synclab.cli import load_config, parse_and_dispatch, validate_report, write_trajectory_csv
-from synclab.experiments import ConfigError
+from synclab.experiments import ConfigError, ScenarioConfig
 from synclab.integrate import integrate
 from synclab.model import PhaseState, SystemParams
 
@@ -212,6 +212,41 @@ def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: config:")
+
+
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        ["n=1e400"],
+        ["seed=1e400"],
+        ["n_max=-Infinity"],
+        ["n1=Infinity"],
+        ["seeds=NaN"],
+        ["n=2.5"],
+        ["m_list=[[1]]"],
+        ["theta0=[true,1]"],
+        ["n=4", "cluster_indices=[0,5]"],
+        ["n=4", "cluster_indices=[0.7,1,2]"],
+        ["n=4", "cluster_indices=[-1,1,2]"],
+        ["n=4", "cluster_indices=[1,1,2]"],
+    ],
+)
+def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsys):
+    argv = ["cluster", "--out", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert run_cli(argv) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config:")
+    assert not (tmp_path / "o").exists()
+
+
+def test_validate_rejects_bad_cluster_indices():
+    for idx in [(0, 0.7, 2), (0, 1, 4), (-1, 0, 1), (1, 1, 2)]:
+        with pytest.raises(ConfigError, match="cluster_indices"):
+            ScenarioConfig(n=4, cluster_indices=idx).validate()
+    ScenarioConfig(n=4, cluster_indices=(0, 1, 2)).validate()
 
 
 def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch, capsys):

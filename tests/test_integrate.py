@@ -6,17 +6,23 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
 from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
+    MAX_JET_ORDER,
     IntegrationError,
     first_zero,
     integrate,
     taylor_jet,
 )
-from synclab.model import PhaseState, SystemParams, coupling_term, rhs_first_order
+from synclab.model import PhaseState, SystemParams, rhs_first_order
 from synclab.tikhonov import propagation_bounds_check
+
+from pairwise_oracles import pairwise_coupling, pairwise_taylor_jet
 
 
 def single_oscillator_solution(m, nu, theta0, omega0, t):
@@ -134,6 +140,39 @@ def test_taylor_jet_against_finite_difference():
     assert np.abs(fd - jet.coeffs[2]).max() / np.abs(jet.coeffs[2]).max() < 1e-6
 
 
+@st.composite
+def _jet_cases(draw):
+    n = draw(st.sampled_from([1, 2, 3, 16]))
+    m = draw(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)))
+    params = SystemParams(
+        n,
+        m,
+        draw(st.floats(0.1, 10.0)),
+        draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0))),
+    )
+    theta = draw(hnp.arrays(float, n, elements=st.floats(-100.0, 100.0)))
+    omega = draw(hnp.arrays(float, n, elements=st.floats(-10.0, 10.0)))
+    return params, PhaseState(0.0, theta, omega), draw(st.integers(1, MAX_JET_ORDER))
+
+
+@settings(deadline=None, max_examples=150)
+@given(_jet_cases())
+def test_taylor_jet_matches_pairwise_jet(case):
+    params, state, order = case
+    jet = taylor_jet(params, state, order).coeffs
+    ref = pairwise_taylor_jet(params, state, order)
+    assert jet.shape == ref.shape == (order + 1, params.n)
+    # compare the Taylor coefficients theta^(k) h^k / k! at a step h below the
+    # radius the coefficients show, so that each is at most 1 in magnitude;
+    # rounding then shows at eps times the phase magnitude the sums start from
+    k = np.arange(order + 1)
+    fact = np.array([math.factorial(j) for j in k], dtype=float)[:, None]
+    rate = max(1.0, float((np.abs(ref[1:] / fact[1:]).max(axis=1) ** (1.0 / k[1:])).max()))
+    scaled = np.abs(jet - ref) / fact * rate ** -k[:, None].astype(float)
+    bound = 8.0 * np.finfo(float).eps * (1.0 + np.abs(state.theta).max())
+    assert scaled.max() <= bound
+
+
 def test_taylor_jet_order_guard():
     p = SystemParams(1, 0.5, 1.0, [0.0])
     with pytest.raises(ValueError):
@@ -219,23 +258,28 @@ def test_exp_branch_matches_rk_branch():
 
 
 def _dop853_reference(params, init, horizon, ts):
-    n, m = params.n, params.inertia_m
+    """scipy's DOP853 on the pairwise vector field, apart from the package's coupling."""
+    n, m, kappa = params.n, params.inertia_m, params.coupling_kappa
+
+    def first_order(theta):
+        return params.nat_freq + pairwise_coupling(kappa, theta)
+
     if params.is_inertial:
         y0 = np.concatenate([init.theta, init.omega])
 
         def f(_t, y):
             return np.concatenate(
-                [y[n:], (params.nat_freq - y[n:] + coupling_term(params, y[:n])) / m]
+                [y[n:], (params.nat_freq - y[n:] + pairwise_coupling(kappa, y[:n])) / m]
             )
     else:
         y0 = np.array(init.theta)
 
         def f(_t, y):
-            return rhs_first_order(params, y)
+            return first_order(y)
 
     sol = solve_ivp(f, (0.0, horizon), y0, method="DOP853", rtol=1e-13, atol=1e-13, t_eval=ts)
     theta = sol.y[:n].T
-    omega = sol.y[n:].T if params.is_inertial else rhs_first_order(params, theta)
+    omega = sol.y[n:].T if params.is_inertial else first_order(theta)
     return theta, omega
 
 

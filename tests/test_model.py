@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synclab import model
-from synclab.integrate import integrate
+from synclab.integrate import integrate, taylor_jet
 from synclab.model import (
     GalileanShift,
     PhaseState,
@@ -22,6 +22,7 @@ from synclab.model import (
     apply_permutation,
     apply_reflection,
     coupling_and_rate,
+    coupling_term,
     duhamel_residual,
     duhamel_residual_grid,
     mean_phase_frequency,
@@ -29,6 +30,8 @@ from synclab.model import (
     rhs_second_order,
 )
 from synclab.observables import order_parameter
+
+from pairwise_oracles import pairwise_coupling_and_rate
 
 
 def test_params_validation():
@@ -254,16 +257,22 @@ class _RelaxingCluster:
         return np.repeat(theta, self.n, axis=1), np.repeat(omega, self.n, axis=1)
 
 
-def _certifier_peak_mib(traj):
+def _traced_peak_mib(fn, *args):
+    """fn(*args) and the tracemalloc peak of the call in MiB."""
     tracemalloc.start()
     try:
-        res = duhamel_residual_grid(traj.params, traj)
+        out = fn(*args)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    return out, peak / 2**20
+
+
+def _certifier_peak_mib(traj):
+    res, peak = _traced_peak_mib(duhamel_residual_grid, traj.params, traj)
     assert res.shape == (len(traj.grid), traj.n)
     assert res.max() < 1e-12  # an exact solution
-    return peak / 2**20
+    return peak
 
 
 def test_certifier_memory_does_not_grow_with_horizon_over_m():
@@ -278,12 +287,20 @@ def test_certifier_memory_does_not_grow_with_horizon_over_m():
     assert _certifier_peak_mib(_RelaxingCluster(128, m, 1e3 * m)) < 20.0
 
 
-def _pairwise_coupling_and_rate(kappa, theta, omega):
-    """The direct O(n^2) sums, kept as the oracle of the mean-field form."""
-    d = theta[..., None, :] - theta[..., :, None]
-    w = omega[..., None, :] - omega[..., :, None]
-    n = theta.shape[-1]
-    return kappa / n * np.sin(d).sum(axis=-1), kappa / n * (np.cos(d) * w).sum(axis=-1)
+def test_coupling_and_jet_memory_is_linear_in_n():
+    # one (n, n) float array takes 2 MiB at n = 512 and 32 MiB at n = 2048
+    rng = np.random.default_rng(11)
+    n = 512
+    params = SystemParams(n, 0.1, 1.0, rng.normal(0.0, 0.3, n))
+    state = PhaseState(0.0, rng.uniform(0.0, 2 * math.pi, n), rng.normal(0.0, 0.3, n))
+    jet, peak = _traced_peak_mib(taylor_jet, params, state, 12)
+    assert jet.coeffs.shape == (13, n)
+    assert peak < 2.0
+    n = 2048
+    params = SystemParams(n, 0.1, 1.0, np.zeros(n))
+    c, peak = _traced_peak_mib(coupling_term, params, rng.uniform(0.0, 2 * math.pi, n))
+    assert c.shape == (n,)
+    assert peak < 2.0
 
 
 @st.composite
@@ -300,12 +317,15 @@ def _phase_batches(draw):
 def test_mean_field_coupling_matches_pairwise(batch):
     kappa, theta, omega = batch
     n = theta.shape[-1]
-    g, dg = coupling_and_rate(SystemParams(n, 0.1, kappa, np.zeros(n)), theta, omega)
-    g_ref, dg_ref = _pairwise_coupling_and_rate(kappa, theta, omega)
-    assert g.shape == dg.shape == theta.shape
+    params = SystemParams(n, 0.1, kappa, np.zeros(n))
+    g, dg = coupling_and_rate(params, theta, omega)
+    c = coupling_term(params, theta)
+    g_ref, dg_ref = pairwise_coupling_and_rate(kappa, theta, omega)
+    assert g.shape == dg.shape == c.shape == theta.shape
     # the oracle rounds theta_l - theta_i, off by up to eps * |theta|
     scale = 8.0 * kappa * np.finfo(float).eps * (1.0 + np.abs(theta).max())
     assert np.abs(g - g_ref).max() <= scale
+    assert np.abs(c - g_ref).max() <= scale
     assert np.abs(dg - dg_ref).max() <= scale * (1.0 + np.abs(omega).max())
 
 

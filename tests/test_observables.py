@@ -28,6 +28,21 @@ def test_order_parameter_values():
     assert order_parameter([0.0, 2 * math.pi / 3, 4 * math.pi / 3]) == pytest.approx(0.0, abs=1e-15)
 
 
+def test_order_parameter_never_exceeds_one():
+    # the rounded phasor of this phase has modulus 1 + 2^-52 on the vector path
+    th = 18.844673057094013
+    rows = np.full((8, 1), th)
+    assert np.all(order_parameter(rows) <= 1.0)
+    assert order_parameter([th]) <= 1.0
+    # one R per row of a batch equals R of each row alone
+    rng = np.random.default_rng(3)
+    batch = rng.uniform(-50.0, 50.0, (2, 5, 4))
+    r = order_parameter(batch)
+    assert r.shape == (2, 5)
+    assert abs(r[1, 3] - order_parameter(batch[1, 3])) <= 1e-15
+    assert np.all((0.0 <= r) & (r <= 1.0))
+
+
 def test_diameter_and_variance_values():
     assert diameter([1.0, 4.0, 2.0]) == 3.0
     assert diameter([5.0, 5.0]) == 0.0
