@@ -395,11 +395,15 @@ def taylor_jet(params: SystemParams, state: PhaseState, order: int) -> TaylorJet
     """Exact solution derivatives at a state via power-series recurrences.
 
     Propagates normalized Taylor coefficients of theta_i together with those
-    of the phasors z_i = e^{i theta_i}, through z' = i theta' z:
-    z_i[k] = (i/k) sum_{j=1..k} j p_i[j] z_i[k-j].  The coupling coefficient
-    of order k is the mean-field (kappa/N) Im sum_j Z[j] conj(z_i[k-j]) with
-    Z = sum_l z_l, and the equation of motion gives the next phase
-    coefficient.  O(order^2 n); works for both m > 0 and m = 0.
+    of the phasors z_i = e^{i (theta_i - theta_0)}, taken in the frame that
+    co-rotates with oscillator 0, through z' = i (theta - theta_0)' z:
+    z_i[k] = (i/k) sum_{j=1..k} j (p_i[j] - p_0[j]) z_i[k-j].  The coupling
+    coefficient of order k is the mean-field (kappa/N) Im sum_j Z[j]
+    conj(z_i[k-j]) with Z = sum_l z_l, and the equation of motion gives the
+    next phase coefficient.  The common rotation cancels from Z conj(z_i), and
+    leaving it out keeps the coupling of oscillators that share their phase
+    series exactly zero: rounding there would otherwise be amplified by 1/m
+    at every order.  O(order^2 n); works for both m > 0 and m = 0.
     """
     if not (1 <= order <= MAX_JET_ORDER):
         raise ValueError(f"order must be in 1..{MAX_JET_ORDER}")
@@ -412,12 +416,13 @@ def taylor_jet(params: SystemParams, state: PhaseState, order: int) -> TaylorJet
     if params.is_inertial:
         p[1] = state.omega
 
-    z = np.zeros((kk + 1, n), dtype=complex)  # z[k] = series of e^{i theta}
-    z[0] = np.exp(1j * p[0])
-    j = np.arange(kk + 1)[:, None]
+    z = np.zeros((kk + 1, n), dtype=complex)  # z[k] = series of e^{i (theta - theta_0)}
+    z[0] = np.exp(1j * (p[0] - p[0, 0]))
+    dp = np.zeros((kk + 1, n))  # dp[k] = k (p[k] - p_0[k])
     for k in range(0, kk - 1 if params.is_inertial else kk):
         if k >= 1:
-            z[k] = (1j / k) * (j[1 : k + 1] * p[1 : k + 1] * z[k - 1 :: -1]).sum(axis=0)
+            dp[k] = k * (p[k] - p[k, 0])
+            z[k] = (1j / k) * (dp[1 : k + 1] * z[k - 1 :: -1]).sum(axis=0)
         big_z = z[: k + 1].sum(axis=1)
         rhs_k = (params.coupling_kappa / n) * (big_z @ z[k::-1].conj()).imag
         if k == 0:

@@ -173,6 +173,16 @@ def test_taylor_jet_matches_pairwise_jet(case):
     assert scaled.max() <= bound
 
 
+def test_taylor_jet_synchronized_state_is_exact():
+    # oscillators that share one state move as theta_i = theta + nu t: every
+    # derivative past the first is zero, at any n and however small m is
+    for n, m in [(1, 2.0**-9), (3, 1e-3), (5, 0.0), (16, 1e-3)]:
+        p = SystemParams(n, m, 10.0, np.full(n, 1.0))
+        jet = taylor_jet(p, PhaseState(0.0, np.full(n, 77.7), np.full(n, 1.0)), MAX_JET_ORDER)
+        assert np.all(jet.coeffs[1] == 1.0)
+        assert np.all(jet.coeffs[2:] == 0.0)
+
+
 def test_taylor_jet_order_guard():
     p = SystemParams(1, 0.5, 1.0, [0.0])
     with pytest.raises(ValueError):
