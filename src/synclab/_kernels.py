@@ -10,7 +10,9 @@ smooth (non-stiff) part of the integrand.  Computing these moments in closed
 form keeps the quadrature error independent of the stiffness ratio s/m.
 `relaxation_convolution` chains them into the convolution of the kernel with
 a piecewise cubic Hermite model, the one integral behind both the velocity
-certificate and the velocity reconstruction map.
+certificate and the velocity reconstruction map; `relaxation_chain` is the
+node-to-node recurrence under it, which also carries the defect bound of the
+certificate from cell to cell.
 """
 
 from __future__ import annotations
@@ -135,21 +137,19 @@ def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):
     return c0 * mom[0] + c1 * mom[1] + c2 * mom[2] + c3 * mom[3]
 
 
-def relaxation_convolution(nodes, values, slopes, m: float) -> np.ndarray:
-    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at every node t_e.
+def relaxation_chain(nodes, local, m: float) -> np.ndarray:
+    """x at every node of x_0 = 0, x_{k+1} = exp(-(t_{k+1} - t_k)/m) x_k + local_k.
 
-    H is the piecewise cubic Hermite through (values, slopes), each (Q, n),
-    at the increasing `nodes` (Q,).  Each cell's exact integral enters with
-    the weight exp(-(t_e - t_{k+1})/m), which factors as exp(-(t_e - t_s)/m)
-    * exp((t_{k+1} - t_s)/m) about a reference node t_s; a cumulative sum
-    then gives every output at once.  The reference moves every _CHAIN_SPAN
-    kernel widths, so the growing factor stays below e^_CHAIN_SPAN, and the
-    blocks are chained by I_{s} = exp(-h/m) I_{s-1} + local_{s-1}.
-    Returns (Q, n); the first row is zero.
+    `local` (Q - 1, n) holds one increment per cell between the increasing
+    `nodes` (Q,), so x_e = sum_{k<e} exp(-(t_e - t_{k+1})/m) local_k.  That
+    weight factors as exp(-(t_e - t_s)/m) * exp((t_{k+1} - t_s)/m) about a
+    reference node t_s; a cumulative sum then gives every output at once.
+    The reference moves every _CHAIN_SPAN kernel widths, so the growing
+    factor stays below e^_CHAIN_SPAN, and the blocks are chained by the
+    recurrence itself.  Returns (Q, n); the first row is zero.
     """
     t = np.asarray(nodes, dtype=float)
-    local = hermite_cell_integrals(values[:-1], slopes[:-1], values[1:], slopes[1:], np.diff(t), m)
-    out = np.zeros((len(t),) + values.shape[1:])
+    out = np.zeros((len(t),) + local.shape[1:])
     block = np.floor((t - t[0]) / (_CHAIN_SPAN * m))
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [len(t)]))
     for s, e in zip(bounds[:-1], bounds[1:]):
@@ -159,3 +159,16 @@ def relaxation_convolution(nodes, values, slopes, m: float) -> np.ndarray:
         acc = np.cumsum(np.exp(rel)[:, None] * local[s : e - 1], axis=0)
         out[s + 1 : e] = np.exp(-rel)[:, None] * (out[s] + acc)
     return out
+
+
+def relaxation_convolution(nodes, values, slopes, m: float) -> np.ndarray:
+    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at every node t_e.
+
+    H is the piecewise cubic Hermite through (values, slopes), each (Q, n),
+    at the increasing `nodes` (Q,).  Each cell's exact integral is chained
+    from node to node by `relaxation_chain`.  Returns (Q, n); the first row
+    is zero.
+    """
+    t = np.asarray(nodes, dtype=float)
+    local = hermite_cell_integrals(values[:-1], slopes[:-1], values[1:], slopes[1:], np.diff(t), m)
+    return relaxation_chain(t, local, m)

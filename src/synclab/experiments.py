@@ -269,12 +269,13 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
             case=out["case"],
             r0=out["r0"],
         )
-        resid = out["trajectory"].duhamel_sup
-        report.add_check(
-            f"residual_seed{s}",
-            resid is None or resid <= CERTIFICATION_FACTOR * config.tol,
-            residual=0.0 if resid is None else resid,
-        )
+        traj = out["trajectory"]
+        if traj.params.is_inertial:
+            report.add_check(
+                f"residual_seed{s}",
+                traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
+                residual=traj.duhamel_sup,
+            )
     report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
     report.wall_time_s = time.perf_counter() - t_start
     return report
@@ -443,9 +444,12 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
         max_freq_spread=cert.max_freq_spread,
         max_phase_drift=cert.max_phase_drift,
     )
-    report.add_check(
-        "residual", traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol, residual=traj.duhamel_sup
-    )
+    if params.is_inertial:
+        report.add_check(
+            "residual",
+            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
+            residual=traj.duhamel_sup,
+        )
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
     report.wall_time_s = time.perf_counter() - t_start
     return report
@@ -597,8 +601,6 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
             traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
             residual=traj.duhamel_sup,
         )
-    else:
-        report.add_check("residual", True, residual=0.0)
     report.summaries = {
         "locked": cert.locked,
         "r_end": cert.limiting_r_estimate,

@@ -12,8 +12,12 @@ In both, error control and the remaining span alone set the step: the first
 attempt spans the whole horizon and rejections shrink it.
 
 Every inertial trajectory is certified on construction: the residual of the
-velocity integral representation must stay below 50 * tol at every grid point
-and at most m/10 apart between them.
+velocity integral representation must stay below 50 * tol.  An rk45
+trajectory is certified by that residual itself, taken at every grid point
+and at most m/10 apart between them (`model.duhamel_residual_grid`).  An exp
+trajectory is certified by a bound on it from the ODE defect of the dense
+output, sampled per cell, so its cost follows the cells rather than
+horizon/m; where that bound cannot prove the gate, the exact residual decides.
 """
 
 from __future__ import annotations
@@ -74,6 +78,13 @@ _P = np.array(
 )
 
 
+def _cell_index(t0s, ts, cells):
+    """The dense cell of each query: `cells` if given, else the cell starting at or before it."""
+    if cells is not None:
+        return np.asarray(cells)
+    return np.clip(np.searchsorted(t0s, ts, side="right") - 1, 0, len(t0s) - 1)
+
+
 class _RKDense:
     """Per-step quartic polynomials from the 5(4) stage values."""
 
@@ -83,9 +94,9 @@ class _RKDense:
         self.y0s = np.asarray(y0s)
         self.coefs = np.asarray(coefs)  # (S, 4, dim)
 
-    def eval(self, ts: np.ndarray) -> np.ndarray:
+    def eval(self, ts: np.ndarray, cells=None) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.searchsorted(self.t0s, ts, side="right") - 1, 0, len(self.hs) - 1)
+        idx = _cell_index(self.t0s, ts, cells)
         h = self.hs[idx]
         x = (ts - self.t0s[idx]) / h
         q = self.coefs[idx]  # (Q, 4, dim)
@@ -93,6 +104,17 @@ class _RKDense:
         for p in (2, 1, 0):
             acc = acc * x[:, None] + q[:, p]
         return self.y0s[idx] + (h * x)[:, None] * acc
+
+    def eval_rate(self, ts: np.ndarray, cells=None) -> np.ndarray:
+        """dy/dt = sum_p (p+1) x^p q_p of the quartic."""
+        ts = np.asarray(ts, dtype=float)
+        idx = _cell_index(self.t0s, ts, cells)
+        x = (ts - self.t0s[idx]) / self.hs[idx]
+        q = self.coefs[idx]
+        acc = 4.0 * q[:, 3]
+        for p in (2, 1, 0):
+            acc = acc * x[:, None] + (p + 1) * q[:, p]
+        return acc
 
 
 class _ExpDense:
@@ -108,9 +130,9 @@ class _ExpDense:
         self.gb = np.asarray(gb)
         self.gc = np.asarray(gc)
 
-    def eval_both(self, ts: np.ndarray):
+    def eval_both(self, ts: np.ndarray, cells=None):
         ts = np.asarray(ts, dtype=float)
-        idx = np.clip(np.searchsorted(self.t0s, ts, side="right") - 1, 0, len(self.hs) - 1)
+        idx = _cell_index(self.t0s, ts, cells)
         s = ts - self.t0s[idx]
         m = self.m
         mom, jom = one_sided_moments(s, m, 2)
@@ -123,10 +145,24 @@ class _ExpDense:
         theta = th0 + m * (1.0 - e)[:, None] * om0 + conv_t
         return theta, omega
 
+    def eval_rate(self, ts: np.ndarray, cells=None) -> np.ndarray:
+        """omega' = (g(s) - omega) / m, with g the cell's quadratic coupling model."""
+        ts = np.asarray(ts, dtype=float)
+        idx = _cell_index(self.t0s, ts, cells)
+        s = (ts - self.t0s[idx])[:, None]
+        g = self.ga[idx] + s * (self.gb[idx] + s * self.gc[idx])
+        return (g - self.eval_both(ts, idx)[1]) / self.m
+
 
 @dataclass(frozen=True)
 class Trajectory:
-    """Time grid, per-grid states, and dense output over [0, horizon]."""
+    """Time grid, per-grid states, and dense output over [0, horizon].
+
+    `duhamel_sup` (None for m = 0) is what certified the trajectory against
+    the 50 * tol gate: on an rk45 trajectory the largest velocity residual;
+    on an exp trajectory the defect bound on it, or the largest residual
+    where the bound could not prove the gate.
+    """
 
     params: SystemParams
     grid: np.ndarray
@@ -141,18 +177,38 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
-    def eval_many(self, ts) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (theta, omega) arrays of shape (len(ts), n)."""
+    def _queries(self, ts) -> np.ndarray:
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
             raise ValueError("query time outside the trajectory span")
+        return ts
+
+    def eval_many(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray]:
+        """Dense (theta, omega) arrays of shape (len(ts), n).
+
+        Each time is read in the grid cell that starts at or before it, or in
+        the cell `cells` names, so that a cell can be read at its right end.
+        """
+        ts = self._queries(ts)
         if self.method == "exp":
-            return self._dense.eval_both(ts)
-        y = self._dense.eval(ts)
+            return self._dense.eval_both(ts, cells)
+        y = self._dense.eval(ts, cells)
         if self.params.is_inertial:
             n = self.params.n
             return y[:, :n], y[:, n:]
         return y, rhs_first_order(self.params, y)
+
+    def eval_rate(self, ts, cells=None) -> np.ndarray:
+        """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
+        ts = self._queries(ts)
+        if self.method == "exp":
+            return self._dense.eval_rate(ts, cells)
+        dy = self._dense.eval_rate(ts, cells)
+        if self.params.is_inertial:
+            return dy[:, self.params.n :]
+        # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
+        theta = self._dense.eval(ts, cells)
+        return _model.coupling_and_rate(self.params, theta, dy)[1]
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
@@ -342,7 +398,9 @@ def integrate(
 
     For m = 0 the initial omega is ignored and recomputed from the phase
     configuration.  Inertial trajectories are certified against the velocity
-    integral representation (sup residual must be < 50 * tol).
+    integral representation (sup residual must be <= 50 * tol): exp ones by
+    the defect bound of `model._defect_bound` where it proves that, rk45 ones
+    and the rest by `model.duhamel_residual_grid`.
     """
     if not (math.isfinite(horizon) and horizon > 1e-14):
         raise ValueError("horizon must be finite and longer than 1e-14")
@@ -370,12 +428,14 @@ def integrate(
     traj = Trajectory(params, grid, th, om, tol, method, None, dense)
     sup = None
     if params.is_inertial:
-        res = _model.duhamel_residual_grid(params, traj)
-        sup = float(np.max(np.abs(res)))
-        if certify and sup > CERTIFICATION_FACTOR * tol:
-            raise IntegrationError(
-                f"certification failed: residual {sup:.3e} > {CERTIFICATION_FACTOR * tol:.3e}"
-            )
+        gate = CERTIFICATION_FACTOR * tol
+        bound = _model._defect_bound(params, traj, gate) if method == "exp" else None
+        if bound is not None and bound.max() <= gate:
+            sup = float(bound.max())
+        else:
+            sup = float(np.max(np.abs(_model.duhamel_residual_grid(params, traj))))
+        if certify and sup > gate:
+            raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
     return Trajectory(params, grid, th, om, tol, method, sup, dense)
 
 

@@ -20,11 +20,13 @@ from typing import Sequence
 
 import numpy as np
 
-from ._kernels import relaxation_convolution
+from ._kernels import relaxation_chain, relaxation_convolution
 
 # Sub-nodes times oscillators per chunk of the velocity certificate; it bounds
 # the certifier's arrays whatever horizon/m.
 _CHUNK_ENTRIES = 1 << 16
+# First and last level L of the defect bound's 2^L + 1 even nodes per cell.
+_DEFECT_LEVELS = (3, 8)
 
 __all__ = [
     "SystemParams",
@@ -219,6 +221,85 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
         chunk_max = np.maximum.reduceat(np.abs(res), starts, axis=0)
         cell_max[seg] = np.maximum(cell_max[seg], chunk_max)
     return cell_max, res[-1]
+
+
+def _cell_defect(params: SystemParams, traj, cells, offsets):
+    """Largest |ODE defect| per cell (C, n) over `offsets` (C, P) into grid `cells` (C,).
+
+    The defect of the dense output is delta = m omega' + omega - nu - c(theta).
+    Also returns omega at each cell's first and last offset, (C, 2, n).  The
+    cells are walked in chunks of about _CHUNK_ENTRIES entries.
+    """
+    m, n = params.inertia_m, params.n
+    per = offsets.shape[1]
+    chunk = max(1, _CHUNK_ENTRIES // (n * per))
+    sup = np.empty((len(cells), n))
+    ends = np.empty((len(cells), 2, n))
+    for a in range(0, len(cells), chunk):
+        c = cells[a : a + chunk]
+        ts = (traj.grid[c][:, None] + offsets[a : a + chunk]).ravel()
+        idx = np.repeat(c, per)
+        theta, omega = traj.eval_many(ts, idx)
+        delta = m * traj.eval_rate(ts, idx) + omega - params.nat_freq
+        delta -= _mean_field(params, np.exp(1j * theta))[0]
+        sup[a : a + chunk] = np.abs(delta).reshape(len(c), per, n).max(axis=1)
+        ends[a : a + chunk] = omega.reshape(len(c), per, n)[:, [0, -1]]
+    return sup, ends
+
+
+def _defect_bound(params: SystemParams, traj, gate: float):
+    """Bound on the velocity residual per grid cell from the ODE defect, or None.
+
+    Inside a grid cell the residual r of `duhamel_residual_grid` obeys
+    m r' + r = delta, the defect of the dense output, and at a grid point it
+    jumps by the jump J_k of the dense omega there.  With D_k = sup |delta| on
+    cell k this gives |r| <= max(B_k + J_k, D_k) on the cell and
+    B_{k+1} = e^{-h_k/m} (B_k + J_k) + (1 - e^{-h_k/m}) D_k, per oscillator.
+
+    D_k is sampled at 2^L + 1 even nodes and at the nodes m/10 * 2^j from the
+    cell start, which cover the layer of width m there.  From L = 3, L grows
+    until two levels differ by at most gate/10; D_k is the finer sup plus
+    that difference.  D_k is a sampled sup, so the rows bound the residual up
+    to that sampling error, which the refinement keeps below gate/10; in
+    cells far below the gate a row can fall a fraction of a percent short of
+    the exact residual there.  Returns (K, n) in the layout of
+    duhamel_residual_grid, or None if a cell is still unresolved at the last
+    level.  Memory is O(chunk * n) besides a fixed number of entries per cell.
+    """
+    m, n = params.inertia_m, params.n
+    grid = traj.grid
+    widths = np.diff(grid)
+    cells = np.arange(len(widths))
+    layer = m / 10.0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(10.0 * widths.max() / m))))
+    level, last = _DEFECT_LEVELS
+    x = np.linspace(0.0, 1.0, 2**level + 1)
+    offsets = np.hstack([np.zeros((len(cells), 1)), np.minimum(layer, widths[:, None]),
+                         np.outer(widths, x[1:])])
+    coarse, ends = _cell_defect(params, traj, cells, offsets)
+    jumps = np.zeros((len(grid), n))  # |omega(t_k+) - omega(t_k-)|; none at either end
+    jumps[1:-1] = np.abs(ends[1:, 0] - ends[:-1, 1])
+
+    defect = np.empty_like(coarse)
+    active = cells
+    while active.size:
+        if level == last:
+            return None
+        level += 1
+        x = np.arange(1, 2**level, 2) / 2**level  # the nodes new at this level
+        fine, _ = _cell_defect(params, traj, active, np.outer(widths[active], x))
+        fine = np.maximum(fine, coarse)
+        diff = fine - coarse
+        done = diff.max(axis=1) <= gate / 10.0
+        defect[active[done]] = fine[done] + diff[done]
+        active, coarse = active[~done], fine[~done]
+
+    decay = np.exp(-widths / m)[:, None]
+    entry = relaxation_chain(
+        grid, decay * jumps[:-1] - np.expm1(-widths / m)[:, None] * defect, m
+    ) + jumps  # bound on |r(t_k+)|
+    rows = np.zeros((len(grid), n))
+    rows[1:] = np.maximum(np.maximum(entry[:-1], defect), entry[1:])
+    return rows
 
 
 def duhamel_residual_grid(params: SystemParams, traj) -> np.ndarray:

@@ -119,6 +119,25 @@ def test_exit_code_pass_fail(tmp_path):
     assert rep["verdict"] == "fail"
 
 
+@pytest.mark.parametrize(
+    "command, inertia, check",
+    [
+        (["cluster", "--set", "n=4", "--set", "cluster_indices=[0,1,2]"], "inertia_m", "residual"),
+        (["certify"], "c_inertia", "residual_seed0"),
+        (["simulate"], "inertia_m", "residual"),
+    ],
+)
+@pytest.mark.parametrize("m", [0.0, 0.05])
+def test_residual_check_only_for_inertial_runs(command, inertia, check, m, tmp_path, capsys):
+    # m = 0 has no velocity certificate: no residual check, and no made-up one
+    argv = [*command, "--set", f"{inertia}={m}", "--set", "horizon=5", "--out", str(tmp_path)]
+    assert run_cli(argv) in (0, 1)
+    assert "error:" not in capsys.readouterr().err
+    rep = json.loads((tmp_path / "report.json").read_text())
+    validate_report(rep)
+    assert (check in [c["name"] for c in rep["checks"]]) == (m > 0)
+
+
 def test_exit_code_numerical_failure(tmp_path, capsys):
     # a collision time far beyond any reachable first zero breaks the bracket
     cfg = tmp_path / "d.json"

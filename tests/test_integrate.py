@@ -335,6 +335,28 @@ def test_dense_output_on_a_desk_run():
     assert err <= 50 * cfg.tol, err
 
 
+@pytest.mark.parametrize(
+    "m, horizon, method", [(1e-3, 20.0, "exp"), (0.3, 10.0, "rk45"), (0.0, 10.0, "rk45")]
+)
+def test_eval_rate_is_the_derivative_of_the_dense_omega(m, horizon, method):
+    rng = np.random.default_rng(5)
+    p = SystemParams(3, m, 1.0, rng.normal(0, 0.3, 3))
+    init = PhaseState(0.0, rng.uniform(0, 2 * np.pi, 3), rng.normal(0, 0.5, 3))
+    traj = integrate(p, init, horizon, 1e-8)
+    assert traj.method == method
+    widths = np.diff(traj.grid)
+    ts = traj.grid[:-1] + 0.37 * widths
+    d = 1e-5 * (np.minimum(widths, m) if m > 0 else widths)  # inside each cell
+    fd = (traj.eval_many(ts + d)[1] - traj.eval_many(ts - d)[1]) / (2 * d[:, None])
+    rate = traj.eval_rate(ts)
+    assert np.all(np.abs(fd - rate) <= 1e-6 * (1.0 + np.abs(rate)))
+    # a cell read at its right end gives the left limit at the next grid point
+    cells = np.arange(len(widths))
+    left = traj.eval_rate(traj.grid[1:], cells)
+    near = traj.eval_rate(traj.grid[1:] - d, cells)
+    assert np.all(np.abs(left - near) <= 1e-4 * (1.0 + np.abs(left)))
+
+
 def test_trajectory_states_and_grid_alignment():
     p = SystemParams(2, 0.2, 1.0, [0.1, -0.1])
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 1.0, 1e-9)

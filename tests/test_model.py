@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import math
 import tracemalloc
 
@@ -12,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from synclab import model
+from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import integrate, taylor_jet
 from synclab.model import (
     GalileanShift,
@@ -238,6 +241,104 @@ def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per
     assert chunked.shape == default.shape
     assert np.abs(chunked - default).max() < 1e-14
     assert np.abs(duhamel_residual(p, traj, t) - single).max() < 1e-14
+
+
+def _long_exp_cell():
+    # a certified exp run and one of its cells, many m long, past t = 8
+    p, traj = _exp_or_rk45_run("exp")
+    k = int(np.searchsorted(traj.grid, 8.0))
+    assert traj.grid[k + 1] - traj.grid[k] > 10 * p.inertia_m
+    return p, traj, k, 50 * traj.tol
+
+
+def _with_segment(traj, k, field, change):
+    """traj with one exp segment's dense coefficient changed, and nothing else."""
+    dense = copy.copy(traj._dense)
+    values = getattr(dense, field).copy()
+    values[k] += change
+    setattr(dense, field, values)
+    return dataclasses.replace(traj, _dense=dense)
+
+
+def test_defect_bound_certifies_a_clean_exp_run():
+    p, traj, _, gate = _long_exp_cell()
+    bound = model._defect_bound(p, traj, gate)
+    assert bound.shape == (len(traj.grid), p.n)
+    assert bound.max() == traj.duhamel_sup
+    assert np.abs(duhamel_residual_grid(p, traj)).max() <= traj.duhamel_sup <= gate
+
+
+def test_defect_bound_flags_a_corrupted_coupling_model():
+    # a wrong quadratic coefficient in one cell's coupling model: the defect
+    # there is about 1e-5 s^2
+    p, traj, k, gate = _long_exp_cell()
+    bad = _with_segment(traj, k, "gc", 1e-5 / (traj.grid[k + 1] - traj.grid[k]) ** 2)
+    bound = model._defect_bound(p, bad, gate)
+    assert bound[k + 1].max() > gate
+    assert bound[: k + 1].max() < gate
+    assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+
+
+def test_defect_bound_flags_a_jump_at_a_grid_point():
+    # omega restarts 1e-5 off at t_k; the residual jumps with it and then
+    # fades over a few m inside the cell
+    p, traj, k, gate = _long_exp_cell()
+    bad = _with_segment(traj, k, "omega0", 1e-5)
+    bound = model._defect_bound(p, bad, gate)
+    assert bound[k + 1].max() > 1e-5
+    assert bound[:k].max() < gate
+    assert bound[k + 2 :].max() < gate
+    assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+
+
+def test_defect_bound_is_chunk_invariant(monkeypatch):
+    p, traj, _, gate = _long_exp_cell()
+    default = model._defect_bound(p, traj, gate)
+    monkeypatch.setattr(model, "_CHUNK_ENTRIES", 1)  # one cell per chunk
+    assert np.allclose(model._defect_bound(p, traj, gate), default, rtol=1e-12, atol=0.0)
+
+
+def _exact_only(monkeypatch, bound):
+    monkeypatch.setattr(model, "_defect_bound", lambda params, traj, gate: bound(traj))
+
+
+@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
+def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
+    m, tol = 1e-3, 1e-8
+    p = SystemParams(2, m, 1.0, [0.05, -0.05])
+    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    if fallback == "above_gate":
+        _exact_only(monkeypatch, lambda traj: np.ones((len(traj.grid), 2)))
+    elif fallback == "unresolved":
+        _exact_only(monkeypatch, lambda traj: None)
+    else:  # no level to refine to: every cell is unresolved
+        monkeypatch.setattr(model, "_DEFECT_LEVELS", (3, 3))
+    traj = integrate(p, init, 12.0, tol)
+    assert traj.method == "exp"
+    exact = float(np.max(np.abs(duhamel_residual_grid(p, traj))))
+    assert traj.duhamel_sup == exact <= 50 * tol
+
+
+def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypatch):
+    def exact(params, traj):
+        raise AssertionError("the defect bound proves this run")
+
+    monkeypatch.setattr(model, "duhamel_residual_grid", exact)
+    p = SystemParams(2, 1e-3, 1.0, [0.05, -0.05])
+    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-8)
+    assert traj.method == "exp" and traj.duhamel_sup <= 50 * 1e-8
+
+
+_DESK_SEEDS = [(42 + k, 2) for k in range(5)] + [(43 + k, 3) for k in range(5)]
+
+
+@pytest.mark.parametrize("seed, n", _DESK_SEEDS)
+def test_defect_bound_covers_the_residual_on_the_desk_runs(seed, n):
+    cfg = ScenarioConfig(seed=seed, n=n, horizon=200.0, tol=1e-8, eps=0.05)
+    traj = _sync_scenario(cfg, 0)["trajectory"]
+    assert traj.method == "exp"
+    exact = np.abs(duhamel_residual_grid(traj.params, traj)).max()
+    assert exact <= traj.duhamel_sup <= 50 * cfg.tol
 
 
 class _RelaxingCluster:

@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
+from synclab import tikhonov
 from synclab.integrate import integrate
 from synclab.model import PhaseState, SystemParams
 from synclab.tikhonov import (
@@ -23,6 +25,7 @@ from synclab.tikhonov import (
     faa_di_bruno_mass,
     gronwall_identity_residual,
     gronwall_v,
+    propagation_bounds_check,
     rising_binomial,
 )
 
@@ -238,8 +241,6 @@ def test_bound_check_bookkeeping():
 
 
 def test_propagation_check_flags_corruption(sweep_result):
-    from synclab.tikhonov import propagation_bounds_check
-
     traj = sweep_result["trajectories"][0.1]
 
     def shift(ts):
@@ -260,3 +261,47 @@ def test_propagation_check_flags_corruption(sweep_result):
 
     checks = propagation_bounds_check(Corrupted())
     assert not all(c.passed for c in checks)
+
+
+class _RelaxingOscillators:
+    """n uncoupled oscillators, each relaxing to its own frequency, on an even grid."""
+
+    def __init__(self, n, m, horizon, cells):
+        rng = np.random.default_rng(3)
+        self.params = SystemParams(n, m, 1.0, rng.normal(0.0, 0.3, n))
+        self.omega0 = rng.normal(0.0, 0.5, n)
+        self.grid = np.linspace(0.0, horizon, cells + 1)
+        self.horizon, self.tol = horizon, 1e-9
+
+    def eval_many(self, ts):
+        ts = np.asarray(ts, dtype=float)[:, None]
+        e = np.exp(-ts / self.params.inertia_m)
+        nu, gap = self.params.nat_freq, self.omega0 - self.params.nat_freq
+        return nu * ts + self.params.inertia_m * gap * (1.0 - e), nu + gap * e
+
+
+def test_pairwise_speed_check_memory_is_bounded():
+    # about 4000 samples at n = 128: one (Q, n, n) float array over them
+    # takes 500 MiB
+    traj = _RelaxingOscillators(128, 0.1, 10.0, 4000)
+    tracemalloc.start()
+    try:
+        checks = propagation_bounds_check(traj)
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert [c.name for c in checks][2] == "speed_pairwise"
+    assert len(checks[2].times) > 4000
+    assert all(c.passed for c in checks)
+    assert peak < 40.0, peak
+
+
+def test_pairwise_speed_check_is_chunk_invariant(sweep_result, monkeypatch):
+    traj = sweep_result["trajectories"][0.1]
+    default = propagation_bounds_check(traj)
+    monkeypatch.setattr(tikhonov, "_PAIR_CHUNK_ENTRIES", 3 * traj.params.n**2)
+    chunked = propagation_bounds_check(traj)
+    for a, b in zip(default, chunked):
+        assert a.name == b.name
+        assert np.array_equal(a.measured, b.measured)
+        assert np.array_equal(a.bound, b.bound)
