@@ -130,7 +130,9 @@ class _ExpDense:
         self.gb = np.asarray(gb)
         self.gc = np.asarray(gc)
 
-    def eval_both(self, ts: np.ndarray, cells=None):
+    def eval_both(self, ts: np.ndarray, cells=None, *, with_rate=False):
+        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m,
+        g being the cell's quadratic coupling model."""
         ts = np.asarray(ts, dtype=float)
         idx = _cell_index(self.t0s, ts, cells)
         s = ts - self.t0s[idx]
@@ -143,15 +145,10 @@ class _ExpDense:
         conv_t = a * jom[0][:, None] + b * jom[1][:, None] + c * jom[2][:, None]
         omega = om0 * e[:, None] + conv_w
         theta = th0 + m * (1.0 - e)[:, None] * om0 + conv_t
-        return theta, omega
-
-    def eval_rate(self, ts: np.ndarray, cells=None) -> np.ndarray:
-        """omega' = (g(s) - omega) / m, with g the cell's quadratic coupling model."""
-        ts = np.asarray(ts, dtype=float)
-        idx = _cell_index(self.t0s, ts, cells)
-        s = (ts - self.t0s[idx])[:, None]
-        g = self.ga[idx] + s * (self.gb[idx] + s * self.gc[idx])
-        return (g - self.eval_both(ts, idx)[1]) / self.m
+        if not with_rate:
+            return theta, omega
+        s = s[:, None]
+        return theta, omega, (a + s * (b + s * c) - omega) / m
 
 
 @dataclass(frozen=True)
@@ -202,13 +199,19 @@ class Trajectory:
         """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
         ts = self._queries(ts)
         if self.method == "exp":
-            return self._dense.eval_rate(ts, cells)
+            return self._dense.eval_both(ts, cells, with_rate=True)[2]
         dy = self._dense.eval_rate(ts, cells)
         if self.params.is_inertial:
             return dy[:, self.params.n :]
         # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
         theta = self._dense.eval(ts, cells)
         return _model.coupling_and_rate(self.params, theta, dy)[1]
+
+    def eval_with_rate(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eval_many and eval_rate together; an exp trajectory reads its cells once."""
+        if self.method == "exp":
+            return self._dense.eval_both(self._queries(ts), cells, with_rate=True)
+        return (*self.eval_many(ts, cells), self.eval_rate(ts, cells))
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))

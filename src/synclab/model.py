@@ -239,8 +239,8 @@ def _cell_defect(params: SystemParams, traj, cells, offsets):
         c = cells[a : a + chunk]
         ts = (traj.grid[c][:, None] + offsets[a : a + chunk]).ravel()
         idx = np.repeat(c, per)
-        theta, omega = traj.eval_many(ts, idx)
-        delta = m * traj.eval_rate(ts, idx) + omega - params.nat_freq
+        theta, omega, rate = traj.eval_with_rate(ts, idx)
+        delta = m * rate + omega - params.nat_freq
         delta -= _mean_field(params, np.exp(1j * theta))[0]
         sup[a : a + chunk] = np.abs(delta).reshape(len(c), per, n).max(axis=1)
         ends[a : a + chunk] = omega.reshape(len(c), per, n)[:, [0, -1]]

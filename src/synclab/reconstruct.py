@@ -287,10 +287,16 @@ def counterexample_bipolar(
 ) -> dict:
     """Construct two-group data whose two mirror solutions collide at t_star.
 
-    Bisects the opening angle eta until the first zero of the relative phase
-    matches t_star, then verifies on full N-oscillator simulations that the
-    phases agree at t_star while the velocities carry opposite
-    (+n2/N, ..., -n1/N) patterns.
+    Finds the opening angle eta whose relative phase first crosses zero at
+    t_star by Illinois regula falsi on F(eta) = z(eta) - t_star, with z the
+    first zero of the pendulum `pendulum_relative`; it bisects only while
+    the upper end's zero lies past the horizon.  eta -> z is increasing, so
+    each search run stops just past the upper end's zero.  The bracket
+    starts at [1e-4, pi - 1e-3] and its upper end moves to pi - 1e-4,
+    pi - 1e-5 and pi - 1e-6 while its zero comes before t_star; a t_star
+    beyond the last is a ValueError.  Then verifies on full N-oscillator
+    simulations that the phases agree at t_star while the velocities carry
+    opposite (+n2/N, ..., -n1/N) patterns.
     """
     if n1 < 1 or n2 < 1:
         raise ValueError("both groups need at least one oscillator")
@@ -301,40 +307,61 @@ def counterexample_bipolar(
         raise ValueError(f"t_star must exceed the threshold {threshold:.6f}")
 
     horizon = 1.3 * t_star + 2.0 * m  # zeros past this read as +inf (eta too wide)
+    margin = 0.01 * t_star  # a search run ends this far past the upper end's zero
 
-    def zero_for(eta: float) -> float:
-        traj = pendulum_relative(m, kappa, eta, horizon, tol)
+    def zero_for(eta: float, span: float = horizon) -> float:
+        traj = pendulum_relative(m, kappa, eta, span, tol)
         z = first_relative_zero(traj)
         return math.inf if z is None else z
 
-    # The first-zero time grows without bound as eta approaches pi (rest near
-    # the inverted equilibrium), so the opening angle may exceed pi/2.
-    lo, hi = 1e-4, math.pi - 1e-3
-    z_lo, z_hi = zero_for(lo), zero_for(hi)
-    if not (z_lo < t_star < z_hi):
+    lo = 1e-4
+    z_lo = zero_for(lo)
+    if not z_lo < t_star:
         raise IntegrationError(
-            f"bisection bracket failure: zeros at bracket are ({z_lo:.6g}, {z_hi:.6g})"
+            f"bracket failure: the first zero at eta = {lo:g} is {z_lo:.10g}, "
+            f"not below t_star {t_star:.10g}"
         )
-    # bisection with a secant accelerant on the monotone map eta -> first zero
-    eta, z_eta = lo, z_lo
-    for _ in range(200):
-        if math.isfinite(z_lo) and math.isfinite(z_hi):
-            guess = lo + (t_star - z_lo) * (hi - lo) / (z_hi - z_lo)
-            width = hi - lo
-            if not (lo + 0.05 * width < guess < hi - 0.05 * width):
-                guess = 0.5 * (lo + hi)
-        else:
-            guess = 0.5 * (lo + hi)
-        eta = guess
-        z_eta = zero_for(eta)
-        if abs(z_eta - t_star) < zero_tol:
+    # The first zero grows like log(1/(pi - eta)) as eta approaches pi (the
+    # pendulum rests ever longer near the inverted equilibrium), so the opening
+    # angle may exceed pi/2 and the upper end moves towards pi until its zero
+    # passes t_star.  Past pi - 1e-6 one ulp of eta moves z by about 1e-9.
+    for delta in (1e-3, 1e-4, 1e-5, 1e-6):
+        hi = math.pi - delta
+        z_hi = zero_for(hi)
+        if z_hi > t_star:
             break
-        if z_eta < t_star:
-            lo, z_lo = eta, z_eta
+        lo, z_lo = hi, z_hi
+    else:
+        raise ValueError(
+            f"t_star {t_star:g} is out of reach: the first zero is at most "
+            f"{z_lo:.6g} (eta = pi - 1e-6)"
+        )
+
+    # Illinois regula falsi: a kept endpoint's stored F is halved when it is
+    # kept twice in a row, so neither end sticks.
+    f_lo, f_hi = z_lo - t_star, z_hi - t_star
+    kept = None  # the end the last step kept
+    for _ in range(200):
+        if math.isfinite(f_hi):
+            eta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
         else:
-            hi, z_hi = eta, z_eta
-    if abs(z_eta - t_star) >= zero_tol:
-        raise IntegrationError("bisection did not reach the zero tolerance")
+            eta = 0.5 * (lo + hi)
+        z_eta = zero_for(eta, min(horizon, z_hi + margin))
+        f_eta = z_eta - t_star
+        if abs(f_eta) < zero_tol:
+            break
+        if f_eta < 0.0:
+            lo, f_lo = eta, f_eta
+            if kept == "hi":
+                f_hi *= 0.5
+            kept = "hi"
+        else:
+            hi, z_hi, f_hi = eta, z_eta, f_eta
+            if kept == "lo":
+                f_lo *= 0.5
+            kept = "lo"
+    else:
+        raise IntegrationError("regula falsi did not reach the zero tolerance")
 
     n = n1 + n2
     theta0 = np.concatenate([np.full(n1, eta * n2 / n), np.full(n2, -eta * n1 / n)])
@@ -346,9 +373,8 @@ def counterexample_bipolar(
     th_t, om_t = traj_theta.eval_many(np.array([t_star]))
     ph_t, pm_t = traj_phi.eval_many(np.array([t_star]))
     vel_gap = om_t[0] - pm_t[0]
-    pend = pendulum_relative(m, kappa, eta, t_star * 1.001, tol)
-    th_pend, om_pend = pend.eval_many(np.array([t_star]))
-    rel_rate = float(om_pend[0, 0] - om_pend[0, 1])
+    # the groups' phase difference theta_a - theta_b obeys the pendulum equation
+    rel_rate = float(om_t[0, 0] - om_t[0, n1])
 
     report = {
         "eta": eta,

@@ -139,11 +139,12 @@ def test_residual_check_only_for_inertial_runs(command, inertia, check, m, tmp_p
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):
-    # a collision time far beyond any reachable first zero breaks the bracket
+    # a collision time above T* = 2.4183991523 but below the first zero at the
+    # bracket's lower end eta = 1e-4 (2.4183991797) breaks the bracket
     cfg = tmp_path / "d.json"
     cfg.write_text(
         json.dumps(
-            {"seed": 1, "n": 2, "inertia_m": 1.0, "coupling_kappa": 1.0, "t_star": 30.0}
+            {"seed": 1, "n": 2, "inertia_m": 1.0, "coupling_kappa": 1.0, "t_star": 2.41839916}
         )
     )
     code = run_cli(["determinability", "--config", str(cfg), "--out", str(tmp_path / "o3")])

@@ -6,7 +6,10 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import solve_ivp
 
+from synclab import reconstruct
+from synclab.cli import parse_and_dispatch
 from synclab.integrate import integrate
 from synclab.model import PhaseState, SystemParams
 from synclab.reconstruct import (
@@ -182,6 +185,74 @@ def test_counterexample_reduction_to_relative_phase():
     assert rep["rate_negative"]
     expect_gap = 2.0 * rep["relative_rate_at_t_star"] * rep["pattern"]
     assert np.abs(rep["velocity_gap"] - expect_gap).max() < 1e-7
+
+
+def _dop853_first_zero(m, kappa, eta, t_max):
+    """First zero of m x'' + x' = -kappa sin x, x(0) = eta, x'(0) = 0, by scipy's DOP853."""
+
+    def rhs(_t, y):
+        return [y[1], (-y[1] - kappa * math.sin(y[0])) / m]
+
+    def hit(_t, y):
+        return y[0]
+
+    hit.terminal = True
+    sol = solve_ivp(rhs, (0.0, t_max), [eta, 0.0], method="DOP853", rtol=1e-12, atol=1e-12, events=hit)
+    return float(sol.t_events[0][0]) if sol.t_events[0].size else math.inf
+
+
+def test_counterexample_search_makes_few_short_runs(monkeypatch):
+    spans = []
+
+    def counted(params, init, horizon, tol, **kwargs):
+        spans.append(horizon)
+        return integrate(params, init, horizon, tol, **kwargs)
+
+    monkeypatch.setattr(reconstruct, "integrate", counted)
+    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0, zero_tol=1e-8)
+    assert abs(rep["first_zero"] - 3.0) < 1e-8
+    assert len(spans) <= 12
+    # the two mirror runs come last; the last search run stops near t* = 3
+    assert spans[-2:] == [3.0 * 1.001] * 2
+    assert spans[-3] < 1.02 * 3.0
+
+
+@pytest.mark.parametrize(
+    "n1, n2, kappa, m, t_star",
+    [
+        (1, 1, 1.0, 1.0, 2.5),  # within 0.1 of T* = 2.4184
+        (1, 3, 2.0, 0.5, 2.0),
+        (1, 1, 0.5, 1.0, 5.0),
+        (2, 1, 1.0, 1.0, 8.0),
+    ],
+)
+def test_counterexample_eta_against_dop853(n1, n2, kappa, m, t_star):
+    rep = counterexample_bipolar(n1, n2, kappa, m, t_star)
+    assert abs(_dop853_first_zero(m, kappa, rep["eta"], 2.0 * t_star) - t_star) < 1e-7
+    assert rep["phase_gap_at_t_star"] < 1e-6
+    expect_gap = 2.0 * rep["relative_rate_at_t_star"] * rep["pattern"]
+    assert np.abs(rep["velocity_gap"] - expect_gap).max() < 1e-7
+
+
+def test_counterexample_widens_the_bracket_towards_pi():
+    # the first zero at eta = pi - 1e-3 is 14.70, so t* = 16 needs a wider bracket
+    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 16.0)
+    assert abs(rep["first_zero"] - 16.0) < 1e-8
+    assert rep["eta"] > math.pi - 1e-3
+    assert abs(_dop853_first_zero(1.0, 1.0, rep["eta"], 32.0) - 16.0) < 1e-6
+    assert rep["phase_gap_at_t_star"] < 1e-6
+
+
+def test_counterexample_out_of_reach_is_a_config_error(tmp_path, capsys):
+    # the first zero at eta = pi - 1e-6 is 25.87
+    with pytest.raises(ValueError, match="out of reach"):
+        counterexample_bipolar(1, 1, 1.0, 1.0, 30.0)
+    args = ["determinability", "--out", str(tmp_path)]
+    for item in ("inertia_m=1", "coupling_kappa=1", "t_star=30"):
+        args += ["--set", item]
+    assert parse_and_dispatch(args) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: config:")
 
 
 def test_monitor_rejects_equal_trajectories():
