@@ -13,6 +13,8 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .experiments import (
     ConfigError,
     ExperimentReport,
@@ -133,11 +135,9 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
     r = order_parameter(th)
     d_th = th.max(axis=1) - th.min(axis=1)
     d_om = om.max(axis=1) - om.min(axis=1)
+    rows = np.column_stack([traj.grid, th, om, r, d_th, d_om])
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(",".join(header) + "\n")
-        for k, t in enumerate(traj.grid):
-            row = [t, *th[k], *om[k], r[k], d_th[k], d_om[k]]
-            fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(fh, rows, fmt="%.17g", delimiter=",", header=",".join(header), comments="")
 
 
 def validate_report(payload: dict) -> None:

@@ -19,19 +19,23 @@ import numpy as np
 from .integrate import CERTIFICATION_FACTOR, Trajectory, integrate
 from .model import PhaseState, SystemParams
 from .observables import (
+    DEFAULT_EPS_THETA,
+    DEFAULT_WINDOW_FRACTION,
     ClusterSpec,
     cluster_stability_check,
     diameter,
     lock_certificate,
     order_parameter,
     variance,
+    xi_functional,
 )
 from .reconstruct import (
+    ZERO_TOL,
     counterexample_bipolar,
     determinability_threshold,
     reconstruct_velocity,
 )
-from .tikhonov import BoundCheck, compare_trajectories
+from .tikhonov import SLACK_FACTOR, BoundCheck, compare_trajectories
 
 __all__ = [
     "ScenarioConfig",
@@ -86,9 +90,9 @@ class ScenarioConfig:
     cluster_ell: float = 1.4
     cluster_eta: float = 1.0
     t1: float | None = None
-    window_fraction: float = 0.2
+    window_fraction: float = DEFAULT_WINDOW_FRACTION
     eps_omega: float | None = None
-    eps_theta: float = 1e-6
+    eps_theta: float = DEFAULT_EPS_THETA
     strict: bool = False
     seeds: int = 1
 
@@ -105,6 +109,10 @@ class ScenarioConfig:
             raise ConfigError("inertia_m must be nonnegative")
         if self.horizon <= 0:
             raise ConfigError("horizon must be positive")
+        for name in ("eps", "eps_omega", "eps_theta"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise ConfigError(f"{name} must be nonnegative")
         if not (1e-13 <= self.tol <= 1e-3):
             raise ConfigError("tol must lie in [1e-13, 1e-3]")
         if self.init_mode not in ("random", "explicit", "bipolar"):
@@ -186,14 +194,14 @@ def _config_echo(config: ScenarioConfig) -> dict:
     return out
 
 
-def draw_initial_phases(config: ScenarioConfig, stream_base: int = 0):
+def draw_initial_phases(config: ScenarioConfig):
     """Uniform phases on [0, 2pi) with the generic-data filter R0 > 0.05.
 
     Rejected draws move to the next substream, so the accepted configuration
     is a pure function of the seed.
     """
     for attempt in range(64):
-        rng = _rng(config.seed, stream_base + attempt)
+        rng = _rng(config.seed, attempt)
         theta0 = rng.uniform(0.0, 2.0 * math.pi, config.n)
         if config.n == 1 or order_parameter(theta0) > R0_FLOOR:
             return theta0, attempt
@@ -361,7 +369,8 @@ def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
     gap = th_nid - th_id
     measured = gap.max(axis=1) - gap.min(axis=1)
     bound = (diameter(nu) / kappa) * (np.exp(2.0 * taus) - 1.0)
-    check = BoundCheck("identical_comparison_gap", taus, measured, bound, 50.0 * config.tol)
+    slack = SLACK_FACTOR * config.tol
+    check = BoundCheck("identical_comparison_gap", taus, measured, bound, slack)
     report.add_bound_checks([check])
 
     th_end = traj_id.theta_grid[-1]
@@ -435,7 +444,9 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
             ceiling=out["asymptotic_ceiling"],
         )
     # whole-ensemble confinement hypothesis (eta = inf variant) and locking
-    xi_all = _xi_all(params, init, spec)
+    xi_all = xi_functional(
+        params.inertia_m, params.coupling_kappa, params.nat_freq, init.omega, math.inf
+    )
     report.add_check("xi_whole_ensemble", xi_all < out["xi_threshold"], xi=xi_all)
     cert = lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
     report.add_check(
@@ -453,18 +464,6 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
     report.wall_time_s = time.perf_counter() - t_start
     return report
-
-
-def _xi_all(params: SystemParams, init: PhaseState, spec: ClusterSpec) -> float:
-    from .observables import xi_functional
-
-    return xi_functional(
-        params.inertia_m,
-        params.coupling_kappa,
-        params.nat_freq,
-        init.omega,
-        math.inf,
-    )
 
 
 def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
@@ -543,7 +542,7 @@ def run_determinability_demo(config: ScenarioConfig) -> ExperimentReport:
             config.n1, config.n2, config.coupling_kappa, config.inertia_m, config.t_star
         )
         report.add_check(
-            "collision_found", abs(out["first_zero"] - config.t_star) < 1e-8, eta=out["eta"]
+            "collision_found", abs(out["first_zero"] - config.t_star) < ZERO_TOL, eta=out["eta"]
         )
         report.add_check(
             "phases_collide", out["phase_gap_at_t_star"] < 1e-6, gap=out["phase_gap_at_t_star"]

@@ -35,7 +35,6 @@ __all__ = [
     "reconstruct_velocity",
     "determinability_threshold",
     "pendulum_relative",
-    "relative_phase",
     "first_relative_zero",
     "counterexample_bipolar",
     "sturm_picone_monitor",
@@ -43,6 +42,9 @@ __all__ = [
 ]
 
 MIN_STEPS = 256
+MAX_ITERATIONS = 200  # fixed-point sweeps of reconstruct_velocity before it gives up
+ZERO_TOL = 1e-8  # how close the counterexample's first zero must come to t_star
+COUNTEREXAMPLE_TOL = 1e-10  # integration tol of the counterexample's runs
 
 
 @dataclass(frozen=True)
@@ -160,11 +162,9 @@ def reconstruct_velocity(
     theta_star: np.ndarray,
     t0: float,
     tol: float = 1e-10,
-    max_iter: int = 200,
-    *,
-    steps: int | None = None,
 ) -> ReconstructionResult:
-    """Fixed-point iteration of F from the constant guess w(t) = omega0.
+    """Fixed-point iteration of F on the `default_steps(t0, m)` grid from the
+    constant guess w(t) = omega0, at most MAX_ITERATIONS sweeps.
 
     Stops when the sup-norm step falls below tol (or tol/10 relatively);
     recovers the initial phases from theta(t) = theta*(t0) - int_t^{t0} w.
@@ -174,14 +174,13 @@ def reconstruct_velocity(
         raise ValueError("t0 must be below the contraction horizon")
     if tol <= 0.0:
         raise ValueError("tol must be positive")
-    if steps is None:
-        steps = default_steps(t0, m)
+    steps = default_steps(t0, m)
 
     omega0 = np.asarray(omega0, dtype=float)
     current = GridFunction(t0, np.tile(omega0, (steps + 1, 1)))
     steps_hist: list[float] = []
     scale = max(1.0, float(np.abs(omega0).max()))
-    for it in range(1, max_iter + 1):
+    for it in range(1, MAX_ITERATIONS + 1):
         new = contraction_map(params, omega0, theta_star, current)
         step = new.sup_distance(current)
         steps_hist.append(step)
@@ -190,7 +189,7 @@ def reconstruct_velocity(
             break
     else:
         raise IntegrationError(
-            f"no convergence in {max_iter} iterations; step history tail "
+            f"no convergence in {MAX_ITERATIONS} iterations; step history tail "
             f"{steps_hist[-5:]}"
         )
 
@@ -254,13 +253,8 @@ def pendulum_relative(
     return integrate(params, init, horizon, tol)
 
 
-def relative_phase(traj: Trajectory, ts) -> np.ndarray:
-    th, _ = traj.eval_many(np.atleast_1d(np.asarray(ts, dtype=float)))
-    return th[:, 0] - th[:, 1]
-
-
-def first_relative_zero(traj: Trajectory, *, time_tol: float = 1e-12) -> float | None:
-    """First zero of the relative phase on the trajectory span, or None."""
+def first_relative_zero(traj: Trajectory) -> float | None:
+    """First zero of the relative phase on the trajectory span, to 1e-12 in time, or None."""
     vals = traj.theta_grid[:, 0] - traj.theta_grid[:, 1]
     sign = np.sign(vals)
     flips = np.nonzero(sign[:-1] * sign[1:] <= 0.0)[0]
@@ -271,7 +265,7 @@ def first_relative_zero(traj: Trajectory, *, time_tol: float = 1e-12) -> float |
         traj,
         lambda st: float(st.theta[0] - st.theta[1]),
         (float(traj.grid[k]), float(traj.grid[k + 1])),
-        tol=time_tol,
+        tol=1e-12,
     )
 
 
@@ -281,9 +275,6 @@ def counterexample_bipolar(
     kappa: float,
     m: float,
     t_star: float,
-    *,
-    zero_tol: float = 1e-8,
-    tol: float = 1e-10,
 ) -> dict:
     """Construct two-group data whose two mirror solutions collide at t_star.
 
@@ -310,7 +301,7 @@ def counterexample_bipolar(
     margin = 0.01 * t_star  # a search run ends this far past the upper end's zero
 
     def zero_for(eta: float, span: float = horizon) -> float:
-        traj = pendulum_relative(m, kappa, eta, span, tol)
+        traj = pendulum_relative(m, kappa, eta, span, COUNTEREXAMPLE_TOL)
         z = first_relative_zero(traj)
         return math.inf if z is None else z
 
@@ -348,7 +339,7 @@ def counterexample_bipolar(
             eta = 0.5 * (lo + hi)
         z_eta = zero_for(eta, min(horizon, z_hi + margin))
         f_eta = z_eta - t_star
-        if abs(f_eta) < zero_tol:
+        if abs(f_eta) < ZERO_TOL:
             break
         if f_eta < 0.0:
             lo, f_lo = eta, f_eta
@@ -367,8 +358,9 @@ def counterexample_bipolar(
     theta0 = np.concatenate([np.full(n1, eta * n2 / n), np.full(n2, -eta * n1 / n)])
     phi0 = -theta0
     params = SystemParams(n, m, kappa, np.zeros(n))
-    traj_theta = integrate(params, PhaseState(0.0, theta0, np.zeros(n)), t_star * 1.001, tol)
-    traj_phi = integrate(params, PhaseState(0.0, phi0, np.zeros(n)), t_star * 1.001, tol)
+    span = t_star * 1.001
+    traj_theta = integrate(params, PhaseState(0.0, theta0, np.zeros(n)), span, COUNTEREXAMPLE_TOL)
+    traj_phi = integrate(params, PhaseState(0.0, phi0, np.zeros(n)), span, COUNTEREXAMPLE_TOL)
 
     th_t, om_t = traj_theta.eval_many(np.array([t_star]))
     ph_t, pm_t = traj_phi.eval_many(np.array([t_star]))
@@ -399,14 +391,11 @@ def sturm_picone_monitor(
     traj_b: Trajectory,
     kappa: float,
     m: float,
-    *,
-    n_samples: int = 4001,
-    zero_fraction: float = 1e-7,
 ) -> dict:
     """Track the pairwise mismatch L(t) of two equal-initial-velocity solutions.
 
     L must stay positive at least until T*(m, 1, kappa).  Reports the first
-    time L dips below zero_fraction * L(0) (located by trisection on the
+    time L dips below 1e-7 * L(0) (located by trisection on the
     bracketing dip), or None when it never does.  Positivity can only be
     certified down to the integration noise floor: two solutions locking to
     the same profile drive L to zero exponentially, and the monitor reads
@@ -422,7 +411,7 @@ def sturm_picone_monitor(
         raise ValueError("initial mismatch must be positive (phase gaps not constant)")
 
     horizon = min(traj_a.horizon, traj_b.horizon)
-    ts = np.linspace(0.0, horizon, n_samples)
+    ts = np.linspace(0.0, horizon, 4001)
     th_a, _ = traj_a.eval_many(ts)
     th_b, _ = traj_b.eval_many(ts)
     d = th_a - th_b
@@ -430,7 +419,7 @@ def sturm_picone_monitor(
     l_vals = np.sqrt(np.maximum(nn * (d**2).sum(axis=1) - d.sum(axis=1) ** 2, 0.0))
 
     tstar = sturm_picone_tstar(m, 1.0, kappa)
-    floor = zero_fraction * l0
+    floor = 1e-7 * l0
 
     def lfun(t: float) -> float:
         a, _ = traj_a.eval_many(np.array([t]))

@@ -41,6 +41,7 @@ __all__ = [
     "compare_trajectories",
 ]
 
+SLACK_FACTOR = 50.0  # a BoundCheck forgives SLACK_FACTOR * tol of measurement error
 _MAX_FACTORIAL = 21
 # Samples times oscillator pairs per chunk of the pairwise speed check.
 _PAIR_CHUNK_ENTRIES = 1 << 16
@@ -447,13 +448,10 @@ def derivative_bound_suite(
     times: Sequence[float],
     *,
     tol: float = 1e-9,
-    slack: float | None = None,
 ) -> list[BoundCheck]:
     """Measure jets of both systems at the given times and check all
     derivative bounds (first-order, initial-time, time-dependent, combined).
     """
-    if slack is None:
-        slack = 50.0 * tol
     horizon = max(times) * 1.01 if times else 1.0
     traj_m = integrate(params, init, horizon, tol)
     params0 = SystemParams(params.n, 0.0, params.coupling_kappa, params.nat_freq)
@@ -463,7 +461,7 @@ def derivative_bound_suite(
     for t in times:
         jets_m[t] = taylor_jet(params, traj_m.state_at_time(t), n_max).coeffs
         jets_0[t] = taylor_jet(params0, traj_0.state_at_time(t), n_max).coeffs
-    return _jet_suite_checks(params, jets_m, jets_0, init, n_max, slack)
+    return _jet_suite_checks(params, jets_m, jets_0, init, n_max, SLACK_FACTOR * tol)
 
 
 def compare_trajectories(
@@ -474,26 +472,25 @@ def compare_trajectories(
     n_max: int = 5,
     *,
     tol: float = 1e-9,
-    slack: float | None = None,
-    jet_times: Sequence[float] = (0.5, 1.0, 2.0),
-    n_samples: int = 601,
-    c1_layer_factor: float = 5.0,
     strict: bool = False,
 ) -> dict:
     """Integrate the zero-inertia solution once and one inertial run per m,
     then certify every phase/velocity/derivative gap bound.
+
+    Gaps are sampled at 601 uniform times and jets taken at t = 0.5, 1, 2;
+    the velocity bounds c1_abs and c1_rel skip the initial layer t < 5m, and
+    `strict` adds them over all times as c1_abs_full and c1_rel_full.
 
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
     the consecutive sup-gap ratios used for the linear-in-m verdict.
     """
     if list(m_list) != sorted(m_list, reverse=True) or min(m_list) <= 0:
         raise ValueError("m_list must be positive and descending")
-    if slack is None:
-        slack = 50.0 * tol
+    slack = SLACK_FACTOR * tol
 
     params0 = SystemParams(params_base.n, 0.0, params_base.coupling_kappa, params_base.nat_freq)
     traj0 = integrate(params0, init, horizon, tol)
-    ts = np.linspace(0.0, horizon, n_samples)
+    ts = np.linspace(0.0, horizon, 601)
     th0, om0_t = traj0.eval_many(ts)
 
     result: dict = {"m_list": list(m_list), "checks": {}, "sup_gap": {}, "trajectories": {}}
@@ -528,7 +525,7 @@ def compare_trajectories(
             )
         )
 
-        mask = ts >= c1_layer_factor * m
+        mask = ts >= 5.0 * m
         checks.append(
             BoundCheck("c1_abs", ts[mask], vgap_abs[mask], bound_c1_abs(params_m, init, ts[mask]), slack)
         )
@@ -543,7 +540,7 @@ def compare_trajectories(
                 BoundCheck("c1_rel_full", ts, vgap_rel, bound_c1_rel(params_m, init, ts), slack)
             )
 
-        jt = [t for t in jet_times if 0.0 < t <= horizon]
+        jt = [t for t in (0.5, 1.0, 2.0) if t <= horizon]
         jets_m = {t: taylor_jet(params_m, traj_m.state_at_time(t), n_max).coeffs for t in jt}
         jets_0 = {t: taylor_jet(params0, traj0.state_at_time(t), n_max).coeffs for t in jt}
         for t in jt:

@@ -168,7 +168,7 @@ def test_criterion_05_determinability_threshold():
 
 def test_criterion_06_counterexample(residual_registry):
     t_start = time.perf_counter()
-    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0, zero_tol=1e-8)
+    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0)
     assert abs(rep["first_zero"] - 3.0) < 1e-8
     assert rep["phase_sup_at_t_star"] < 1e-6
     assert rep["phase_gap_at_t_star"] < 1e-6

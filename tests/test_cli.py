@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,18 @@ def test_exit_code_numerical_failure(tmp_path, capsys):
     assert "error: numerical:" in capsys.readouterr().err
 
 
+def test_nan_residual_exits_3_with_one_error_line(tmp_path, capsys):
+    argv = ["simulate", "--set", "nat_freq=[1e300,-1e300]", "--set", "horizon=1"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_cli([*argv, "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: numerical:")
+    assert [str(w.message) for w in caught] == []
+
+
 def test_csv_format_and_round_trip(tmp_path):
     p = SystemParams(1, 0.2, 1.0, [0.5])
     traj = integrate(p, PhaseState(0.0, [0.3], [0.1]), 1.0, 1e-9)
@@ -249,6 +262,9 @@ def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):
         ["n=4", "cluster_indices=[0.7,1,2]"],
         ["n=4", "cluster_indices=[-1,1,2]"],
         ["n=4", "cluster_indices=[1,1,2]"],
+        ["n=4", "cluster_indices=[0,1,2]", "eps=-1"],
+        ["n=4", "cluster_indices=[0,1,2]", "eps_omega=-1"],
+        ["n=4", "cluster_indices=[0,1,2]", "eps_theta=-1"],
     ],
 )
 def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsys):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
+from synclab import model
 from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
     MAX_JET_ORDER,
@@ -91,6 +92,29 @@ def test_integrate_validation():
     moving = SystemParams(2, 0.1, 1.0, [0.5, -0.5])
     with pytest.raises(IntegrationError):
         integrate(moving, PhaseState(0.0, [0.0, 1.0], [1.0, -1.0]), 10.0, 1e-9, max_steps=3)
+
+
+def test_nan_residual_fails_certification():
+    # nu = +-1e300 overflows the residual to NaN, which compares False with the gate
+    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    for m in (0.01, 5e-5):  # rk45, then exp
+        params = SystemParams(2, m, 1.0, [1e300, -1e300])
+        with pytest.raises(IntegrationError, match="certification failed: residual nan"):
+            integrate(params, init, 1.0, 1e-8)
+
+
+@pytest.mark.parametrize("m, method", [(0.1, "rk45"), (1e-6, "exp")])
+def test_residual_above_the_gate_fails_certification(monkeypatch, m, method):
+    def above_gate(params, traj, *_):
+        return np.full((len(traj.grid), params.n), 60.0 * traj.tol)
+
+    params = SystemParams(2, m, 1.0, [0.5, -0.5])
+    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    assert integrate(params, init, 1.0, 1e-8).method == method
+    monkeypatch.setattr(model, "duhamel_residual_grid", above_gate)
+    monkeypatch.setattr(model, "_defect_bound", above_gate)
+    with pytest.raises(IntegrationError, match="certification failed"):
+        integrate(params, init, 1.0, 1e-8)
 
 
 def test_first_order_omega_slaved_to_phases():

@@ -169,7 +169,7 @@ def test_counterexample_guards():
 
 def test_counterexample_reduction_to_relative_phase():
     n1, n2 = 2, 1
-    rep = counterexample_bipolar(n1, n2, 1.0, 1.0, 2.9, tol=1e-10)
+    rep = counterexample_bipolar(n1, n2, 1.0, 1.0, 2.9)
     traj_theta, _ = rep["trajectories"]
     pend = pendulum_relative(1.0, 1.0, rep["eta"], 2.9, 1e-10)
     ts = np.linspace(0.0, 2.9, 30)
@@ -209,7 +209,7 @@ def test_counterexample_search_makes_few_short_runs(monkeypatch):
         return integrate(params, init, horizon, tol, **kwargs)
 
     monkeypatch.setattr(reconstruct, "integrate", counted)
-    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0, zero_tol=1e-8)
+    rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0)
     assert abs(rep["first_zero"] - 3.0) < 1e-8
     assert len(spans) <= 12
     # the two mirror runs come last; the last search run stops near t* = 3
