@@ -2,8 +2,10 @@
 
 Two steppers share one Trajectory contract:
 
-* an embedded Dormand-Prince 5(4) pair with PI step control and the standard
-  quartic dense-output polynomial, used whenever the inertia is resolvable;
+* DOP853, Hairer's explicit Runge-Kutta pair of order 8 with its 7th-order
+  dense output, used whenever the inertia is resolvable and for m = 0; a
+  step it accepts must also pass a check of the ODE defect of its own dense
+  output at three points of the cell;
 * an integrating-factor stepper for m below 1e-4 * horizon, which solves the
   velocity relaxation exactly per step and models the coupling by a quadratic
   fit through the step endpoints and midpoint (step doubling for control).
@@ -12,12 +14,11 @@ In both, error control and the remaining span alone set the step: the first
 attempt spans the whole horizon and rejections shrink it.
 
 Every inertial trajectory is certified on construction: the residual of the
-velocity integral representation must stay below 50 * tol.  An rk45
-trajectory is certified by that residual itself, taken at every grid point
-and at most m/10 apart between them (`model.duhamel_residual_grid`).  An exp
-trajectory is certified by a bound on it from the ODE defect of the dense
-output, sampled per cell, so its cost follows the cells rather than
-horizon/m; where that bound cannot prove the gate, the exact residual decides.
+velocity integral representation must stay below 50 * tol.  It is certified
+by a bound on that residual from the ODE defect of the dense output, sampled
+per cell (`model._defect_bound`), so its cost follows the cells rather than
+horizon/m; where that bound cannot prove the gate, the residual itself,
+taken at most m/10 apart (`model.duhamel_residual_grid`), decides.
 """
 
 from __future__ import annotations
@@ -52,31 +53,108 @@ class IntegrationError(RuntimeError):
     """Raised when step control or certification cannot meet the tolerance."""
 
 
-# Dormand-Prince 5(4) tableau.
-_C = np.array([0.0, 1 / 5, 3 / 10, 4 / 5, 8 / 9, 1.0, 1.0])
-_A = [
-    np.array([]),
-    np.array([1 / 5]),
-    np.array([3 / 40, 9 / 40]),
-    np.array([44 / 45, -56 / 15, 32 / 9]),
-    np.array([19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729]),
-    np.array([9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656]),
-    np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84]),
-]
-_B = np.array([35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84, 0.0])
-_E = np.array([71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40])
-# Quartic dense-output weights (Shampine): y(t0 + x*h) = y0 + h * sum_p x^(p+1) * (K^T P)_p
-_P = np.array(
-    [
-        [1.0, -8048581381 / 2820520608, 8663915743 / 2820520608, -12715105075 / 11282082432],
-        [0.0, 0.0, 0.0, 0.0],
-        [0.0, 131558114200 / 32700410799, -68118460800 / 10900136933, 87487479700 / 32700410799],
-        [0.0, -1754552775 / 470086768, 14199869525 / 1410260304, -10690763975 / 1880347072],
-        [0.0, 127303824393 / 49829197408, -318862633887 / 49829197408, 701980252875 / 199316789632],
-        [0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844],
-        [0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423],
-    ]
-)
+def _sparse_rows(rows) -> np.ndarray:
+    """A (len(rows), 16) matrix from one {stage: weight} dict per row."""
+    out = np.zeros((len(rows), 16))
+    for i, row in enumerate(rows):
+        out[i, list(row)] = list(row.values())
+    return out
+
+
+# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10): 12
+# stages, a 13th that is f(y_new) (FSAL), and three more, taken on accepted
+# steps only, for the 7th-order dense output.  The system is autonomous, so
+# the nodes c_i = sum_j a_ij are not needed.
+_A = np.vstack([np.zeros(16), _sparse_rows([
+    {0: 0.05260015195876773},
+    {0: 0.0197250569845379, 1: 0.0591751709536137},
+    {0: 0.02958758547680685, 2: 0.08876275643042054},
+    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
+    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
+    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
+    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
+     5: -0.015319437748624402, 6: 0.008273789163814023},
+    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
+     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
+    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
+     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
+     8: -0.020331201708508627},
+    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
+     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
+     8: 2.4936055526796523, 9: -3.0467644718982196},
+    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
+     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
+     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
+    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
+     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
+     10: 0.20136540080403034, 11: 0.04471061572777259},
+    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
+     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
+     11: 0.007567897660545699, 12: -0.008298},
+    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
+     7: -0.05492374857139099, 10: -0.00010834732869724932,
+     11: 0.0003825710908356584, 12: -0.00034046500868740456, 13: 0.1413124436746325},
+    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
+     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
+     13: 2.9475147891527724, 14: -9.15095847217987},
+])])
+_B = _A[12, :12]  # stage 13 is f(y_new), so its weights are the solution weights
+# Weights of the embedded 5th- and 3rd-order error estimates.
+_E5 = _sparse_rows([
+    {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
+     7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
+     10: 0.08192320648511571, 11: -0.022355307863886294},
+])[0, :12]
+_E3 = _B - _sparse_rows([
+    {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766},
+])[0, :12]
+# Hairer's dense output y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))),
+# x = (t - t0)/h, with F_j = h * (row j of _NESTED) . K over the 16 stages:
+# F0 = y_new - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f0 + f_new), F3..F6 from D.
+_NESTED = np.vstack([
+    _A[12],
+    np.eye(16)[0] - _A[12],
+    2.0 * _A[12] - np.eye(16)[0] - np.eye(16)[12],
+    _sparse_rows([
+        {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
+         7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
+         10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
+         13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
+        {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
+         7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
+         10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
+         13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
+        {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
+         7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
+         10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
+         13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
+        {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
+         7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
+         10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
+         13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
+    ]),
+])
+# Row p - 1 gives the coefficient of x^p (p = 1..7) of the nested form in F.
+_MONOMIALS = np.array([
+    [1, 1, 0, 0, 0, 0, 0],
+    [0, -1, 1, 1, 0, 0, 0],
+    [0, 0, -1, -2, 1, 1, 0],
+    [0, 0, 0, 1, -2, -3, 1],
+    [0, 0, 0, 0, 1, 3, -3],
+    [0, 0, 0, 0, 0, -1, 3],
+    [0, 0, 0, 0, 0, 0, -1],
+], dtype=float)
+_DENSE = _MONOMIALS @ _NESTED  # dense monomial coefficients = h * _DENSE @ K
+# Where an accepted step reads the ODE defect of its own dense output: the
+# interpolant's defect changes sign near the midpoint, so one point misses it.
+_DEFECT_X = np.array([0.35, 0.7, 0.95])
+_DEFECT_VALUE = _DEFECT_X[:, None] ** np.arange(1, 8)  # x^p
+_DEFECT_SLOPE = np.arange(1, 8) * _DEFECT_X[:, None] ** np.arange(7)  # p x^(p-1)
+_DEFECT_FACTOR = 3.0  # a step's sampled defect must stay below this times its tol
+# The sampled defect's rounding floor per unit of 1 + max|omega|: the dense
+# output's derivative weights amplify the rounding of the stages about this
+# much, so at tol near 1e-13 the check would otherwise reject every step.
+_DEFECT_NOISE = 2.0**10 * np.finfo(float).eps
 
 
 def _cell_index(t0s, ts, cells):
@@ -86,36 +164,36 @@ def _cell_index(t0s, ts, cells):
     return np.clip(np.searchsorted(t0s, ts, side="right") - 1, 0, len(t0s) - 1)
 
 
-class _RKDense:
-    """Per-step quartic polynomials from the 5(4) stage values."""
+class _PolyDense:
+    """Per-step degree-7 polynomials y0 + sum_p c_p x^p, x = (t - t0)/h."""
 
     def __init__(self, t0s, hs, y0s, coefs):
         self.t0s = np.asarray(t0s)
         self.hs = np.asarray(hs)
         self.y0s = np.asarray(y0s)
-        self.coefs = np.asarray(coefs)  # (S, 4, dim)
+        self.coefs = np.asarray(coefs)  # (S, 7, dim); [:, p - 1] multiplies x^p
 
-    def eval(self, ts: np.ndarray, cells=None) -> np.ndarray:
+    def eval(self, ts: np.ndarray, cells=None, *, with_rate=False):
+        """y at `ts`, and with `with_rate` also dy/dt.
+
+        Horner's scheme gathers one coefficient row per query at a time, so
+        no (Q, 7, dim) block is formed.
+        """
         ts = np.asarray(ts, dtype=float)
         idx = _cell_index(self.t0s, ts, cells)
         h = self.hs[idx]
-        x = (ts - self.t0s[idx]) / h
-        q = self.coefs[idx]  # (Q, 4, dim)
-        acc = q[:, 3]
-        for p in (2, 1, 0):
-            acc = acc * x[:, None] + q[:, p]
-        return self.y0s[idx] + (h * x)[:, None] * acc
-
-    def eval_rate(self, ts: np.ndarray, cells=None) -> np.ndarray:
-        """dy/dt = sum_p (p+1) x^p q_p of the quartic."""
-        ts = np.asarray(ts, dtype=float)
-        idx = _cell_index(self.t0s, ts, cells)
-        x = (ts - self.t0s[idx]) / self.hs[idx]
-        q = self.coefs[idx]
-        acc = 4.0 * q[:, 3]
-        for p in (2, 1, 0):
-            acc = acc * x[:, None] + (p + 1) * q[:, p]
-        return acc
+        x = ((ts - self.t0s[idx]) / h)[:, None]
+        c = self.coefs
+        y = c[idx, 6]
+        for p in range(5, -1, -1):
+            y = y * x + c[idx, p]
+        y = self.y0s[idx] + x * y
+        if not with_rate:
+            return y
+        dy = 7.0 * c[idx, 6]
+        for p in range(5, -1, -1):
+            dy = dy * x + (p + 1) * c[idx, p]
+        return y, dy / h[:, None]
 
 
 class _ExpDense:
@@ -157,9 +235,8 @@ class Trajectory:
     """Time grid, per-grid states, and dense output over [0, horizon].
 
     `duhamel_sup` (None for m = 0) is what certified the trajectory against
-    the 50 * tol gate: on an rk45 trajectory the largest velocity residual;
-    on an exp trajectory the defect bound on it, or the largest residual
-    where the bound could not prove the gate.
+    the 50 * tol gate: the defect bound on the velocity residual, or the
+    largest residual itself where the bound could not prove the gate.
     """
 
     params: SystemParams
@@ -198,21 +275,20 @@ class Trajectory:
 
     def eval_rate(self, ts, cells=None) -> np.ndarray:
         """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
-        ts = self._queries(ts)
-        if self.method == "exp":
-            return self._dense.eval_both(ts, cells, with_rate=True)[2]
-        dy = self._dense.eval_rate(ts, cells)
-        if self.params.is_inertial:
-            return dy[:, self.params.n :]
-        # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
-        theta = self._dense.eval(ts, cells)
-        return _model.coupling_and_rate(self.params, theta, dy)[1]
+        return self.eval_with_rate(ts, cells)[2]
 
     def eval_with_rate(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """eval_many and eval_rate together; an exp trajectory reads its cells once."""
+        """eval_many and eval_rate together, from one read of the cells."""
+        ts = self._queries(ts)
         if self.method == "exp":
-            return self._dense.eval_both(self._queries(ts), cells, with_rate=True)
-        return (*self.eval_many(ts, cells), self.eval_rate(ts, cells))
+            return self._dense.eval_both(ts, cells, with_rate=True)
+        y, dy = self._dense.eval(ts, cells, with_rate=True)
+        if self.params.is_inertial:
+            n = self.params.n
+            return y[:, :n], y[:, n:], dy[:, n:]
+        # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
+        g, dg = _model.coupling_and_rate(self.params, y, dy)
+        return y, self.params.nat_freq + g, dg
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
@@ -224,13 +300,20 @@ def _scaled_error(err_vec, y_old, y_new, tol):
     return float(np.max(np.abs(err_vec) / scale))
 
 
-def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
-    """Dormand-Prince 5(4) loop with PI control and quartic dense output.
+def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
+    """DOP853 loop with 7th-order dense output and a defect check per step.
 
-    For m > 0 the accept test scales the local error by max(1, 2m/h): the
+    The error is Hairer's blend of the 5th- and 3rd-order estimates in the
+    max norm.  For m > 0 the accept test scales it by max(1, 2m/h): the
     velocity-residual certificate integrates step defects over the kernel
     memory window of width m, so per-step errors must shrink with h/m for
     the 50*tol threshold to hold independently of the tolerance regime.
+
+    A step that passes the error test must also pass a defect check on its
+    own dense output at _DEFECT_X: for m > 0 the defect m omega' + omega -
+    nu - c(theta) that `model._defect_bound` reads, for m = 0 the defect
+    theta' - nu - c(theta), scaled like the local error.  The next step
+    follows the error as err^(-1/8) and the defect as its 1/7th power.
     """
     m = params.inertia_m
     n = params.n
@@ -249,9 +332,8 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
     dim = y.shape[0]
     t = 0.0
     h = horizon
-    err_prev = 1.0
-    k_stages = np.empty((7, dim))
-    k_stages[6] = f(y)  # FSAL seed
+    k = np.empty((16, dim))
+    k[0] = f(y)
 
     grid = [0.0]
     ys = [y.copy()]
@@ -266,40 +348,59 @@ def _integrate_rk(params, theta0, omega0, horizon, tol, max_steps):
             raise IntegrationError(
                 f"step budget exhausted at t={t:.6g} (h={h:.3g}, tol={tol:.1g})"
             )
+        steps += 1
         h = min(h, horizon - t)
-        k_stages[0] = k_stages[6]
-        for i in range(1, 7):
-            yi = y + h * (k_stages[:i].T @ _A[i])
-            k_stages[i] = f(yi)
-        y_new = y + h * (k_stages.T @ _B)
-        # stage 7 is f(y_new) for FSAL and the error estimate
-        k_stages[6] = f(y_new)
-        err_vec = h * (k_stages.T @ _E)
-        err = _scaled_error(err_vec, y, y_new, tol)
+        for i in range(1, 12):
+            k[i] = f(y + h * (_A[i, :i] @ k[:i]))
+        y_new = y + h * (_B @ k[:12])
+        k[12] = f(y_new)
+        size = 1.0 + np.maximum(np.abs(y), np.abs(y_new))  # the error scale is tol * size
+        err5 = float(np.max(np.abs(_E5 @ k[:12]) / size)) / tol
+        err3 = float(np.max(np.abs(_E3 @ k[:12]) / size)) / tol
+        denom = err5 * err5 + 0.01 * err3 * err3
+        err = 0.0 if denom == 0.0 else h * err5 * err5 / math.sqrt(denom)
         if params.is_inertial:
             err *= max(1.0, 2.0 * m / h)
-        steps += 1
-        if err <= 1.0:
+        accept = err <= 1.0  # a NaN rejects too
+        if accept:
+            for i in range(13, 16):
+                k[i] = f(y + h * (_A[i, :i] @ k[:i]))
+            # the rows of _DENSE sum to (1, 0, ..., 0): weighing k - k[0] keeps
+            # the large weights from amplifying the rounding of k itself
+            coef = h * (_DENSE @ (k - k[0]))
+            coef[0] += h * k[0]
+            y_chk = y + _DEFECT_VALUE @ coef
+            rate = (_DEFECT_SLOPE @ coef) / h
+            limit = _DEFECT_FACTOR * tol
+            if params.is_inertial:
+                delta = m * rate[:, n:] + y_chk[:, n:] - params.nat_freq
+                delta -= _model.coupling_term(params, y_chk[:, :n])
+                limit += _DEFECT_NOISE * float(size[n:].max())
+            else:
+                delta = h * (rate - rhs_first_order(params, y_chk)) / size
+            defect = float(np.max(np.abs(delta))) / limit
+            accept = defect <= 1.0
+        if accept:
             t0s.append(t)
             hs.append(h)
-            y0s.append(y.copy())
-            coefs.append((k_stages.T @ _P).T)
+            y0s.append(y)
+            coefs.append(coef)
             t += h
             y = y_new
+            k[0] = k[12]
             grid.append(t)
-            ys.append(y.copy())
-            fac = 0.9 * (err + 1e-16) ** -0.17 * err_prev**0.04
-            err_prev = max(err, 1e-16)
-            h *= min(5.0, max(0.2, fac))
+            ys.append(y)
+            grow = min((err + 1e-16) ** -0.125, (defect + 1e-16) ** (-1.0 / 7.0))
+            h *= min(5.0, max(0.2, 0.9 * grow))
         else:
-            k_stages[6] = k_stages[0]  # restore FSAL slot
-            h *= max(0.2, 0.9 * err**-0.2)
+            shrink = err**-0.125 if not err <= 1.0 else defect ** (-1.0 / 7.0)
+            h *= max(0.2, 0.9 * shrink)
             if h < 1e-15 * max(1.0, horizon):
                 raise IntegrationError("step size underflow; tolerance unachievable")
 
     grid = np.asarray(grid)
     ys = np.asarray(ys)
-    dense = _RKDense(t0s, hs, y0s, coefs)
+    dense = _PolyDense(t0s, hs, y0s, coefs)
     if params.is_inertial:
         theta_g, omega_g = ys[:, :n], ys[:, n:]
     else:
@@ -401,9 +502,9 @@ def integrate(
 
     For m = 0 the initial omega is ignored and recomputed from the phase
     configuration.  Inertial trajectories are certified against the velocity
-    integral representation (sup residual must be <= 50 * tol): exp ones by
-    the defect bound of `model._defect_bound` where it proves that, rk45 ones
-    and the rest by `model.duhamel_residual_grid`.
+    integral representation (sup residual must be <= 50 * tol) by the defect
+    bound of `model._defect_bound` where it proves that, and by the residual
+    itself, `model.duhamel_residual_grid`, where it does not.
     """
     if not (math.isfinite(horizon) and horizon > 1e-14):
         raise ValueError("horizon must be finite and longer than 1e-14")
@@ -416,8 +517,8 @@ def integrate(
 
     theta0 = np.array(init.theta, dtype=float)
     omega0 = np.array(init.omega, dtype=float) if params.is_inertial else None
-    method = "exp" if params.is_inertial and params.inertia_m < EXP_SWITCH * horizon else "rk45"
-    stepper = _integrate_exp if method == "exp" else _integrate_rk
+    method = "exp" if params.is_inertial and params.inertia_m < EXP_SWITCH * horizon else "dop853"
+    stepper = _integrate_exp if method == "exp" else _integrate_dop853
     # Overflow and NaN raise no numpy warning here: they end in a rejected
     # step, a step-size underflow or a residual that fails the gate below.
     with np.errstate(all="ignore"):
@@ -426,7 +527,7 @@ def integrate(
         sup = None
         if params.is_inertial:
             gate = CERTIFICATION_FACTOR * tol
-            bound = _model._defect_bound(params, traj, gate) if method == "exp" else None
+            bound = _model._defect_bound(params, traj, gate)
             if bound is not None and bound.max() <= gate:
                 sup = float(bound.max())
             else:

@@ -217,8 +217,8 @@ def determinability_threshold(kappa: float, m: float) -> float:
     This is the positivity window T*(m, 1, kappa): infinite for m*kappa <= 1/4,
     otherwise pi*m/sqrt(4mk - 1) + (2m/sqrt(4mk - 1)) * asin(1/sqrt(4mk)).
     """
-    if kappa <= 0 or m <= 0:
-        raise ValueError("kappa and m must be positive")
+    if not (0.0 < kappa < math.inf and 0.0 < m < math.inf):  # NaN fails too
+        raise ValueError("kappa and m must be positive and finite")
     return sturm_picone_tstar(m, 1.0, kappa)
 
 
@@ -228,8 +228,8 @@ def sturm_picone_tstar(a: float, b: float, c: float) -> float:
     Infinite for 4ac <= b^2; otherwise
     pi*a/sqrt(4ac - b^2) + (2a/sqrt(4ac - b^2)) * asin(b / (2 sqrt(ac))).
     """
-    if a <= 0 or b <= 0 or c <= 0:
-        raise ValueError("a, b, c must be positive")
+    if not all(0.0 < v < math.inf for v in (a, b, c)):  # NaN fails too
+        raise ValueError("a, b, c must be positive and finite")
     disc = 4.0 * a * c - b * b
     if disc <= 0.0:
         return math.inf

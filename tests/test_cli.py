@@ -238,6 +238,10 @@ def test_sweep_subcommand_dispatches(tmp_path):
         ["simulate", "--set", "horizon=Infinity"],
         ["simulate", "--set", "horizon=1e-300"],
         ["reconstruct", "--set", "t0=NaN"],
+        ["determinability", "--m", "nan"],
+        ["determinability", "--m", "inf"],
+        ["determinability", "--m", "1", "--kappa", "nan"],
+        ["determinability", "--m", "1", "--kappa", "inf"],
     ],
 )
 def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):

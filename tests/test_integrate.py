@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
+from scipy.integrate._ivp import dop853_coefficients
 
 from synclab import model
 from synclab.experiments import ScenarioConfig, _sync_scenario
@@ -94,16 +96,26 @@ def test_integrate_validation():
         integrate(moving, PhaseState(0.0, [0.0, 1.0], [1.0, -1.0]), 10.0, 1e-9, max_steps=3)
 
 
-def test_nan_residual_fails_certification():
-    # nu = +-1e300 overflows the residual to NaN, which compares False with the gate
+def test_nan_residual_fails_certification(monkeypatch):
+    # nu = +-1e300 overflows the exp residual to NaN, which compares False with the gate
     init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
-    for m in (0.01, 5e-5):  # rk45, then exp
-        params = SystemParams(2, m, 1.0, [1e300, -1e300])
-        with pytest.raises(IntegrationError, match="certification failed: residual nan"):
-            integrate(params, init, 1.0, 1e-8)
+    params = SystemParams(2, 5e-5, 1.0, [1e300, -1e300])
+    with pytest.raises(IntegrationError, match="certification failed: residual nan"):
+        integrate(params, init, 1.0, 1e-8)
+
+    # DOP853 rejects every step that overflows, so the NaN is handed to its gate
+    def nan_rows(params, traj, *_):
+        return np.full((len(traj.grid), params.n), np.nan)
+
+    params = SystemParams(2, 0.01, 1.0, [0.5, -0.5])
+    assert integrate(params, init, 1.0, 1e-8).method == "dop853"
+    monkeypatch.setattr(model, "duhamel_residual_grid", nan_rows)
+    monkeypatch.setattr(model, "_defect_bound", nan_rows)
+    with pytest.raises(IntegrationError, match="certification failed: residual nan"):
+        integrate(params, init, 1.0, 1e-8)
 
 
-@pytest.mark.parametrize("m, method", [(0.1, "rk45"), (1e-6, "exp")])
+@pytest.mark.parametrize("m, method", [(0.1, "dop853"), (1e-6, "exp")])
 def test_residual_above_the_gate_fails_certification(monkeypatch, m, method):
     def above_gate(params, traj, *_):
         return np.full((len(traj.grid), params.n), 60.0 * traj.tol)
@@ -115,6 +127,47 @@ def test_residual_above_the_gate_fails_certification(monkeypatch, m, method):
     monkeypatch.setattr(model, "_defect_bound", above_gate)
     with pytest.raises(IntegrationError, match="certification failed"):
         integrate(params, init, 1.0, 1e-8)
+
+
+def test_dop853_tableau_matches_scipy():
+    # the package keeps its own copy of Hairer's constants (numpy-only runtime)
+    mod = importlib.import_module("synclab.integrate")
+    ref = dop853_coefficients
+    assert np.array_equal(mod._A, ref.A)
+    assert np.allclose(mod._A.sum(axis=1), ref.C, rtol=0.0, atol=1e-15)
+    assert np.array_equal(mod._B, ref.B)
+    assert np.array_equal(mod._E5, ref.E5[:12]) and not ref.E5[12]
+    assert np.array_equal(mod._E3, ref.E3[:12]) and not ref.E3[12]
+    assert np.array_equal(mod._NESTED[3:], ref.D)
+    # the monomial coefficients give Hairer's nested form
+    f = np.random.default_rng(3).normal(size=7)
+    x = np.linspace(0.0, 1.0, 11)
+    nested = f[6]
+    for j in range(5, -1, -1):
+        nested = f[j] + (x if j % 2 else 1.0 - x) * nested
+    nested = x * nested
+    monomial = (x[:, None] ** np.arange(1, 8)) @ (mod._MONOMIALS @ f)
+    assert np.abs(monomial - nested).max() < 1e-13
+
+
+@pytest.mark.parametrize(
+    "m, nu, kappa, tol, horizon", [(1.0, 0.3, 1.0, 1e-13, 10.0), (0.3, 1.0, 4.0, 1e-13, 20.0)]
+)
+def test_tightest_tolerances_certify(m, nu, kappa, tol, horizon):
+    # the dense output's derivative weights amplify the rounding of the
+    # stages; the defect check of each step must not ask for less than that
+    params = SystemParams(3, m, kappa, [nu, 0.0, -nu])
+    traj = integrate(params, PhaseState(0.0, [0.0, 1.0, 2.0], [nu, 0.1, -nu]), horizon, tol)
+    assert traj.method == "dop853" and traj.duhamel_sup <= 50 * tol
+
+
+def test_a_tolerance_below_rounding_fails_the_gate_not_the_budget():
+    # |omega| = 50 at tol 1e-13 is a few ulps: the run cannot be certified,
+    # and it must say so rather than creep along at steps of 1e-14
+    params = SystemParams(3, 0.1, 1.0, [50.0, 0.0, -50.0])
+    init = PhaseState(0.0, [0.0, 1.0, 2.0], [50.0, 0.1, -50.0])
+    with pytest.raises(IntegrationError, match="certification failed"):
+        integrate(params, init, 1.0, 1e-13, max_steps=20_000)
 
 
 def test_first_order_omega_slaved_to_phases():
@@ -283,7 +336,7 @@ def test_exp_branch_matches_rk_branch():
     init = PhaseState(0.0, rng.uniform(0, 2 * np.pi, 2), [0.02, -0.03])
     long = integrate(p, init, 200.0, 1e-8)  # m < 1e-4 * horizon
     short = integrate(p, init, 2.0, 1e-10)
-    assert long.method == "exp" and short.method == "rk45"
+    assert long.method == "exp" and short.method == "dop853"
     ts = np.array([0.5, 1.0, 2.0])
     tha, oma = long.eval_many(ts)
     thb, omb = short.eval_many(ts)
@@ -331,9 +384,9 @@ def _dense_error(traj, init):
     "m, n, horizon, method",
     [
         (1e-3, 3, 20.0, "exp"),
-        (0.3, 4, 10.0, "rk45"),
-        (0.0, 4, 10.0, "rk45"),
-        (0.0, 4, 200.0, "rk45"),  # locks: cells grow to several time units
+        (0.3, 4, 10.0, "dop853"),
+        (0.0, 4, 10.0, "dop853"),
+        (0.0, 4, 200.0, "dop853"),  # locks: cells grow to several time units
     ],
 )
 def test_dense_output_between_grid_points(m, n, horizon, method):
@@ -360,7 +413,7 @@ def test_dense_output_on_a_desk_run():
 
 
 @pytest.mark.parametrize(
-    "m, horizon, method", [(1e-3, 20.0, "exp"), (0.3, 10.0, "rk45"), (0.0, 10.0, "rk45")]
+    "m, horizon, method", [(1e-3, 20.0, "exp"), (0.3, 10.0, "dop853"), (0.0, 10.0, "dop853")]
 )
 def test_eval_rate_is_the_derivative_of_the_dense_omega(m, horizon, method):
     rng = np.random.default_rng(5)

@@ -34,6 +34,7 @@ from synclab.model import (
 )
 from synclab.observables import order_parameter
 
+from conftest import SWEEP_M_LIST, SWEEP_TOL
 from pairwise_oracles import pairwise_coupling_and_rate
 
 
@@ -215,7 +216,7 @@ def _check_flags_corrupted_cell(p, traj, k, tol):
     assert res[: k + 1].max() < 50 * tol
 
 
-def _exp_or_rk45_run(method):
+def _exp_or_dop853_run(method):
     if method == "exp":
         p = SystemParams(2, 1e-3, 1.0, [0.05, -0.05])
         traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-8)
@@ -227,12 +228,12 @@ def _exp_or_rk45_run(method):
 
 
 @pytest.mark.parametrize(
-    "method, nodes_per_chunk", [("exp", 64), ("rk45", 2), ("rk45", 3), ("rk45", 7)]
+    "method, nodes_per_chunk", [("exp", 64), ("dop853", 2), ("dop853", 3), ("dop853", 7)]
 )
 def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per_chunk):
     # the exp run has 1.2e5 sub-nodes, so its chunks stay at 64 nodes: about
     # 1900 chunk boundaries, inside long cells and on grid points alike
-    p, traj = _exp_or_rk45_run(method)
+    p, traj = _exp_or_dop853_run(method)
     default = duhamel_residual_grid(p, traj)
     t = 0.6 * traj.horizon
     single = duhamel_residual(p, traj, t)
@@ -245,14 +246,14 @@ def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per
 
 def _long_exp_cell():
     # a certified exp run and one of its cells, many m long, past t = 8
-    p, traj = _exp_or_rk45_run("exp")
+    p, traj = _exp_or_dop853_run("exp")
     k = int(np.searchsorted(traj.grid, 8.0))
     assert traj.grid[k + 1] - traj.grid[k] > 10 * p.inertia_m
     return p, traj, k, 50 * traj.tol
 
 
 def _with_segment(traj, k, field, change):
-    """traj with one exp segment's dense coefficient changed, and nothing else."""
+    """traj with one cell's dense coefficient changed, and nothing else."""
     dense = copy.copy(traj._dense)
     values = getattr(dense, field).copy()
     values[k] += change
@@ -268,6 +269,27 @@ def test_defect_bound_certifies_a_clean_exp_run():
     assert np.abs(duhamel_residual_grid(p, traj)).max() <= traj.duhamel_sup <= gate
 
 
+def _resolved_residual(p, traj, split=32):
+    """The largest velocity residual with every grid cell split `split` times.
+
+    Over a cell wider than m/10 the certifier's cubic Hermite sub-cells have
+    a quadrature floor; on these finer sub-cells it lies far below the
+    residual of a clean run.
+    """
+    grid = traj.grid
+    nodes = grid[:-1, None] + np.diff(grid)[:, None] * np.arange(split) / split
+    return np.abs(model._velocity_residual(p, traj.eval_many, np.append(nodes, grid[-1]))[0]).max()
+
+
+def test_defect_bound_certifies_a_clean_dop853_run():
+    p, traj = _exp_or_dop853_run("dop853")
+    gate = 50 * traj.tol
+    bound = model._defect_bound(p, traj, gate)
+    assert bound.shape == (len(traj.grid), p.n)
+    assert bound.max() == traj.duhamel_sup <= gate
+    assert _resolved_residual(p, traj) <= traj.duhamel_sup
+
+
 def test_defect_bound_flags_a_corrupted_coupling_model():
     # a wrong quadratic coefficient in one cell's coupling model: the defect
     # there is about 1e-5 s^2
@@ -277,6 +299,59 @@ def test_defect_bound_flags_a_corrupted_coupling_model():
     assert bound[k + 1].max() > gate
     assert bound[: k + 1].max() < gate
     assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+
+
+def test_defect_bound_flags_a_corrupted_dop853_cell():
+    # omega_0 off by 1e-4 (x^6 - x^7) inside one cell: exact at both ends,
+    # so the dense output stays continuous and only the defect shows it
+    p, traj = _exp_or_dop853_run("dop853")
+    gate = 50 * traj.tol
+    k = len(traj.grid) // 2
+    change = np.zeros(traj._dense.coefs.shape[1:])
+    change[5:, p.n] = [1e-4, -1e-4]
+    bad = _with_segment(traj, k, "coefs", change)
+    bound = model._defect_bound(p, bad, gate)
+    assert bound[k + 1].max() > gate
+    assert bound[: k + 1].max() < gate
+    assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+
+
+def test_defect_bound_flags_a_bump_between_dop853_grid_points():
+    # a bump on theta_0 (and its rate on omega_0) inside one cell only; the
+    # cell is shorter than m, so the bound hands on at most 1 - e^{-h/m} of
+    # the cell's defect to the next cell, and only this cell reads above gate
+    m = 1.0
+    p = SystemParams(2, m, 1.0, [0.05, -0.05])
+    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-10)
+    assert traj.method == "dop853"
+    gate = 50 * traj.tol
+    widths = np.diff(traj.grid)
+    k = int(np.argmin(widths[1:-1])) + 1
+    assert widths[k] < 0.3 * m
+    center, width = traj.grid[k] + 0.5 * widths[k], 0.25 * widths[k]
+    amp = 2.0 * gate * width**2 / (8.0 * m)  # m b'' peaks at twice the gate
+
+    def bump(ts):
+        """b, b' and b'' of amp (1 - x^2)^4, x = (t - center) / width."""
+        x = (np.asarray(ts) - center) / width
+        u = np.clip(1.0 - x**2, 0.0, None)
+        return (amp * u**4, -8.0 * amp * x * u**3 / width,
+                -8.0 * amp * u**2 * (1.0 - 7.0 * x**2) / width**2)
+
+    assert not np.any(bump(traj.grid)[0])  # every grid value stays as it was
+
+    class Bumped:
+        grid = traj.grid
+
+        @staticmethod
+        def eval_with_rate(ts, cells):
+            th, om, rate = traj.eval_with_rate(ts, cells)
+            first = np.array([1.0, 0.0])
+            b, db, d2b = bump(ts)
+            return th + np.outer(b, first), om + np.outer(db, first), rate + np.outer(d2b, first)
+
+    bound = model._defect_bound(p, Bumped(), gate)
+    assert np.flatnonzero(bound.max(axis=1) > gate).tolist() == [k + 1]
 
 
 def test_defect_bound_flags_a_jump_at_a_grid_point():
@@ -292,31 +367,39 @@ def test_defect_bound_flags_a_jump_at_a_grid_point():
 
 
 def test_defect_bound_is_chunk_invariant(monkeypatch):
-    p, traj, _, gate = _long_exp_cell()
-    default = model._defect_bound(p, traj, gate)
-    monkeypatch.setattr(model, "_CHUNK_ENTRIES", 1)  # one cell per chunk
-    assert np.allclose(model._defect_bound(p, traj, gate), default, rtol=1e-12, atol=0.0)
+    for p, traj in (_exp_or_dop853_run("exp"), _exp_or_dop853_run("dop853")):
+        gate = 50 * traj.tol
+        default = model._defect_bound(p, traj, gate)
+        with monkeypatch.context() as patch:
+            patch.setattr(model, "_CHUNK_ENTRIES", 1)  # one cell per chunk
+            chunked = model._defect_bound(p, traj, gate)
+        assert np.allclose(chunked, default, rtol=1e-12, atol=0.0)
 
 
 def _exact_only(monkeypatch, bound):
     monkeypatch.setattr(model, "_defect_bound", lambda params, traj, gate: bound(traj))
 
 
-@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
-def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
-    m, tol = 1e-3, 1e-8
-    p = SystemParams(2, m, 1.0, [0.05, -0.05])
-    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+def _check_falls_back(monkeypatch, fallback, method):
     if fallback == "above_gate":
-        _exact_only(monkeypatch, lambda traj: np.ones((len(traj.grid), 2)))
+        _exact_only(monkeypatch, lambda traj: np.ones((len(traj.grid), traj.params.n)))
     elif fallback == "unresolved":
         _exact_only(monkeypatch, lambda traj: None)
     else:  # no level to refine to: every cell is unresolved
         monkeypatch.setattr(model, "_DEFECT_LEVELS", (3, 3))
-    traj = integrate(p, init, 12.0, tol)
-    assert traj.method == "exp"
+    p, traj = _exp_or_dop853_run(method)
     exact = float(np.max(np.abs(duhamel_residual_grid(p, traj))))
-    assert traj.duhamel_sup == exact <= 50 * tol
+    assert traj.duhamel_sup == exact <= 50 * traj.tol
+
+
+@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
+def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
+    _check_falls_back(monkeypatch, fallback, "exp")
+
+
+@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
+def test_dop853_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
+    _check_falls_back(monkeypatch, fallback, "dop853")
 
 
 def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypatch):
@@ -327,6 +410,29 @@ def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypat
     p = SystemParams(2, 1e-3, 1.0, [0.05, -0.05])
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-8)
     assert traj.method == "exp" and traj.duhamel_sup <= 50 * 1e-8
+
+
+def test_dop853_runs_are_certified_by_the_bound_alone(monkeypatch, sweep_scenario):
+    # criterion 10's run, the Tikhonov sweep and the reconstruction round trip
+    def exact(params, traj):
+        raise AssertionError("the defect bound proves this run")
+
+    monkeypatch.setattr(model, "duhamel_residual_grid", exact)
+    rng = np.random.default_rng(77)
+    p = SystemParams(4, 0.5, 1.0, rng.normal(0.1, 0.3, 4))
+    init = PhaseState(0.0, rng.uniform(0, 2 * np.pi, 4), rng.normal(0, 0.4, 4))
+    runs = [(p, init, 3.0, 1e-11)]
+    params0, init = sweep_scenario
+    runs += [(dataclasses.replace(params0, inertia_m=m), init, 3.0, SWEEP_TOL) for m in SWEEP_M_LIST]
+    rng = np.random.default_rng(11)
+    nu = rng.normal(0, 0.2, 4)
+    nu -= nu.mean()
+    theta0 = rng.uniform(0, 2 * np.pi, 4)
+    init = PhaseState(0.0, theta0, nu + rng.normal(0, 0.3, 4))
+    runs.append((SystemParams(4, 0.2, 1.0, nu), init, 0.4, 1e-11))
+    for params, init, horizon, tol in runs:
+        traj = integrate(params, init, horizon, tol)
+        assert traj.method == "dop853" and traj.duhamel_sup <= 50 * tol
 
 
 _DESK_SEEDS = [(42 + k, 2) for k in range(5)] + [(43 + k, 3) for k in range(5)]

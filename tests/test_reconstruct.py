@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 from scipy.integrate import solve_ivp
 
-from synclab import reconstruct
+from synclab import model, reconstruct
 from synclab.cli import parse_and_dispatch
 from synclab.integrate import integrate
-from synclab.model import PhaseState, SystemParams
+from synclab.model import PhaseState, SystemParams, coupling_term
 from synclab.reconstruct import (
     GridFunction,
     contraction_horizon,
@@ -59,6 +59,9 @@ def test_sturm_picone_tstar_matches_determinability():
         determinability_threshold(1.0, 1.0)
     )
     assert sturm_picone_tstar(0.2, 1.0, 1.0) == math.inf
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError):
+            sturm_picone_tstar(1.0, bad, 1.0)
 
 
 def test_grid_function_validation():
@@ -203,15 +206,23 @@ def _dop853_first_zero(m, kappa, eta, t_max):
 
 def test_counterexample_search_makes_few_short_runs(monkeypatch):
     spans = []
+    couplings = []
 
     def counted(params, init, horizon, tol, **kwargs):
         spans.append(horizon)
         return integrate(params, init, horizon, tol, **kwargs)
 
+    def counted_coupling(params, theta):
+        couplings.append(1)
+        return coupling_term(params, theta)
+
     monkeypatch.setattr(reconstruct, "integrate", counted)
+    monkeypatch.setattr(model, "coupling_term", counted_coupling)
     rep = counterexample_bipolar(1, 1, 1.0, 1.0, 3.0)
     assert abs(rep["first_zero"] - 3.0) < 1e-8
     assert len(spans) <= 12
+    # the runs take about 4,200 coupling calls; many short steps would show
+    assert len(couplings) <= 6000
     # the two mirror runs come last; the last search run stops near t* = 3
     assert spans[-2:] == [3.0 * 1.001] * 2
     assert spans[-3] < 1.02 * 3.0
