@@ -8,11 +8,13 @@ Everything stiff in this package reduces to integrals of the form
 with a polynomial factor u^p coming from a local polynomial model of the
 smooth (non-stiff) part of the integrand.  Computing these moments in closed
 form keeps the quadrature error independent of the stiffness ratio s/m.
-`relaxation_convolution` chains them into the convolution of the kernel with
-a piecewise cubic Hermite model, the one integral behind both the velocity
-certificate and the velocity reconstruction map; `relaxation_chain` is the
-node-to-node recurrence under it, which also carries the defect bound of the
-certificate from cell to cell.
+
+Up to order 6 they are the exp stepper's phi-functions: the relaxation solved
+exactly under its degree-6 coupling model.  `relaxation_convolution` chains
+them into the convolution of the kernel with a piecewise cubic Hermite model,
+the one integral behind both the velocity certificate and the velocity
+reconstruction map; `relaxation_chain` is the node-to-node recurrence under
+it, which also carries the defect bound of the certificate from cell to cell.
 """
 
 from __future__ import annotations
@@ -25,24 +27,21 @@ import numpy as np
 # (relative error ~ eps / z^(p+1)); there a Taylor series in z takes over:
 #   M_p = s^(p+1) * sum_{j>=0} (-z)^j p!/(p+j+1)!,
 #   J_p = -s^(p+1) * sum_{j>=1} (-z)^j p!/(p+j+1)!.
-# With 20 terms the series stays within a few ulp up to z = 1.
-_MAX_ORDER = 3
+# The recurrence amplifies rounding by about p!/z^p, so the switch rises with
+# the order; the series has no cancellation below z = p + 2, and with 20 terms
+# it stays within a few ulp up to z = 2.5 for the orders that use it there.
+_MAX_ORDER = 6  # the degree of the exp stepper's coupling model
 _SERIES_TERMS = 20
-_SWITCH_M = (0.0, 0.01, 0.1, 0.5)  # M_0 = -m expm1(-z) never cancels
-_SWITCH_J = (0.01, 0.1, 0.5, 1.0)
-_COEF = [
-    [math.factorial(p) / math.factorial(p + j + 1) for j in range(_SERIES_TERMS)]
-    for p in range(_MAX_ORDER + 1)
-]
+_SWITCH_M = (0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0)  # M_0 = -m expm1(-z) never cancels
+_SWITCH_J = (0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5)
+# Row j holds the coefficients of (-z)^j of every order's series: p!/(p+j+1)!
+# for M_p / s^(p+1), then p!/(p+j+2)! for J_p / (z s^(p+1)).
+_COEF = np.array([
+    [math.factorial(p) / math.factorial(p + j + 1 + k)
+     for k in (0, 1) for p in range(_MAX_ORDER + 1)]
+    for j in range(_SERIES_TERMS)
+])
 _CHAIN_SPAN = 100.0  # kernel widths per block of relaxation_convolution
-
-
-def _horner(z, coefs):
-    """sum_j coefs[j] * (-z)^j for a scalar or ndarray z."""
-    acc = coefs[-1]
-    for c in coefs[-2::-1]:
-        acc = acc * (-z) + c
-    return acc
 
 
 def _flat(sigma):
@@ -50,29 +49,48 @@ def _flat(sigma):
     return s.reshape(-1), s.shape
 
 
-def _exp_moments_flat(s: np.ndarray, m: float, pmax: int) -> list[np.ndarray]:
+def _moments_flat(s: np.ndarray, m: float, pmax: int, with_j: bool):
+    """[M_0..M_pmax] and, with `with_j`, [J_0..J_pmax] (else None) at the flat s.
+
+    The series of every order come from one Horner pass over the entries
+    below the highest switch in use; the switches rise with the order.
+    """
     if not 0 <= pmax <= _MAX_ORDER:
         raise ValueError(f"moment order must lie in 0..{_MAX_ORDER}")
     z = s / m
-    out = [-m * np.expm1(-z)]
+    mom = [-m * np.expm1(-z)]
     for p in range(1, pmax + 1):
-        out.append(m * (s**p - p * out[-1]))
-    for p in range(pmax + 1):
-        small = z < _SWITCH_M[p]
-        if np.any(small):
-            out[p][small] = s[small] ** (p + 1) * _horner(z[small], _COEF[p])
-    return out
+        mom.append(m * (s**p - p * mom[-1]))
+    jom = [s ** (p + 1) / (p + 1) - mom[p] for p in range(pmax + 1)] if with_j else None
+    below = z < (_SWITCH_J if with_j else _SWITCH_M)[pmax]
+    if below.any():
+        small = slice(None) if below.all() else np.flatnonzero(below)
+        zs, lead = z[small], s[small]
+        # the orders whose switch some entry lies below
+        orders = [p for p in range(pmax + 1) if zs.min() < _SWITCH_M[p]]
+        orders_j = [p for p in range(pmax + 1) if with_j and zs.min() < _SWITCH_J[p]]
+        cols = np.array(orders + [_MAX_ORDER + 1 + p for p in orders_j], dtype=int)
+        acc, neg = _COEF[-1, cols, None], -zs
+        for row in _COEF[-2::-1, cols, None]:
+            acc = acc * neg + row
+        for k, p in enumerate(orders):
+            series = lead ** (p + 1) * acc[k]
+            mom[p][small] = np.where(zs < _SWITCH_M[p], series, mom[p][small])
+        for k, p in enumerate(orders_j, start=len(orders)):
+            series = lead ** (p + 1) * zs * acc[k]
+            jom[p][small] = np.where(zs < _SWITCH_J[p], series, jom[p][small])
+    return mom, jom
 
 
 def exp_moments(sigma, m: float, pmax: int):
     """Return [M_0(sigma), ..., M_pmax(sigma)] for the kernel exp(-(s-u)/m).
 
-    `sigma` may be a scalar or ndarray of nonnegative reals; m > 0, pmax <= 3.
+    `sigma` may be a scalar or ndarray of nonnegative reals; m > 0, pmax <= 6.
     Uses the recurrence M_p = m*(sigma^p - p*M_{p-1}) where z = sigma/m lies
     above the order's switch and the Taylor series on the entries below it.
     """
     s, shape = _flat(sigma)
-    return [mp.reshape(shape) for mp in _exp_moments_flat(s, m, pmax)]
+    return [mp.reshape(shape) for mp in _moments_flat(s, m, pmax, False)[0]]
 
 
 def one_sided_moments(sigma, m: float, pmax: int):
@@ -82,34 +100,8 @@ def one_sided_moments(sigma, m: float, pmax: int):
     branch.
     """
     s, shape = _flat(sigma)
-    z = s / m
-    mom = _exp_moments_flat(s, m, pmax)
-    jom = []
-    for p in range(pmax + 1):
-        jp = s ** (p + 1) / (p + 1) - mom[p]
-        small = z < _SWITCH_J[p]
-        if np.any(small):
-            jp[small] = s[small] ** (p + 1) * z[small] * _horner(z[small], _COEF[p][1:])
-        jom.append(jp)
+    mom, jom = _moments_flat(s, m, pmax, True)
     return [mp.reshape(shape) for mp in mom], [jp.reshape(shape) for jp in jom]
-
-
-def scalar_relax_moments(sigma: float, m: float):
-    """(M0, M1, M2, J0, J1, J2) for scalar sigma, avoiding array overhead."""
-    z = sigma / m
-    m0 = -m * math.expm1(-z)
-    m1 = m * (sigma - m0)
-    m2 = m * (sigma * sigma - 2.0 * m1)
-    out = (m0, m1, m2, sigma - m0, 0.5 * sigma * sigma - m1, sigma**3 / 3.0 - m2)
-    if z >= _SWITCH_J[2]:  # above every switch up to order 2
-        return out
-    out = list(out)
-    for p in range(3):
-        if z < _SWITCH_M[p]:
-            out[p] = sigma ** (p + 1) * _horner(z, _COEF[p])
-        if z < _SWITCH_J[p]:
-            out[3 + p] = sigma ** (p + 1) * z * _horner(z, _COEF[p][1:])
-    return tuple(out)
 
 
 def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):

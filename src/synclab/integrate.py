@@ -6,12 +6,17 @@ Two steppers share one Trajectory contract:
   dense output, used whenever the inertia is resolvable and for m = 0; a
   step it accepts must also pass a check of the ODE defect of its own dense
   output at three points of the cell;
-* an integrating-factor stepper for m below 1e-4 * horizon, which solves the
-  velocity relaxation exactly per step and models the coupling by a quadratic
-  fit through the step endpoints and midpoint (step doubling for control).
+* exponential collocation for m below 1e-4 * horizon: each step solves the
+  velocity relaxation exactly and models the coupling by the degree-6
+  polynomial through its values at the step's Chebyshev-Lobatto nodes, found
+  by simplified Newton; the ODE defect at the midpoints between the nodes
+  controls the step, so past the O(m) layer steps follow the first-order
+  flow's time scale 1/kappa rather than m.
 
 In both, error control and the remaining span alone set the step: the first
-attempt spans the whole horizon and rejections shrink it.
+attempt spans the whole horizon and rejections shrink it.  Every accepted
+step of either has passed a check of the same ODE defect that the
+certificate below reads.
 
 Every inertial trajectory is certified on construction: the residual of the
 velocity integral representation must stay below 50 * tol.  It is certified
@@ -30,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as _model
-from ._kernels import one_sided_moments, scalar_relax_moments
+from ._kernels import one_sided_moments
 from .model import PhaseState, SystemParams, rhs_first_order
 
 __all__ = [
@@ -44,9 +49,8 @@ __all__ = [
 
 MAX_JET_ORDER = 12
 CERTIFICATION_FACTOR = 50.0
-EXP_SWITCH = 1e-4  # integrating-factor stepper below m < EXP_SWITCH * horizon
+EXP_SWITCH = 1e-4  # exponential collocation below m < EXP_SWITCH * horizon
 STEP_SAFETY = 0.3  # steppers target this fraction of the requested tol
-_CORRECTOR_SWEEPS = 3  # fixed-point sweeps of the exp step's quadratic coupling model
 
 
 class IntegrationError(RuntimeError):
@@ -153,8 +157,37 @@ _DEFECT_SLOPE = np.arange(1, 8) * _DEFECT_X[:, None] ** np.arange(7)  # p x^(p-1
 _DEFECT_FACTOR = 3.0  # a step's sampled defect must stay below this times its tol
 # The sampled defect's rounding floor per unit of 1 + max|omega|: the dense
 # output's derivative weights amplify the rounding of the stages about this
-# much, so at tol near 1e-13 the check would otherwise reject every step.
+# much, so at tol near 1e-13 the check would otherwise reject every step.  The
+# exp stepper takes it per unit of kappa, which bounds the coupling it fits;
+# scaled by |omega| its check would pass steps that the certificate fails.
 _DEFECT_NOISE = 2.0**10 * np.finfo(float).eps
+# The exp stepper: a degree-_DEGREE coupling model through the Chebyshev-Lobatto
+# nodes of [0, 1]; _VINV maps node values to monomial coefficients.  It is
+# built from the Lagrange basis, whose products keep every entry within an ulp
+# or so, where inverting the Vandermonde matrix (condition 1.6e4) would not.
+_DEGREE = 6
+_NODES = 0.5 * (1.0 - np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE))
+
+
+def _lagrange_coefficients(nodes):
+    """Column j: the coefficients of prod_{k != j} (x - x_k) / (x_j - x_k), lowest power first."""
+    cols = []
+    for j, xj in enumerate(nodes):
+        others = nodes[:j] + nodes[j + 1 :]
+        c = [1.0]
+        for r in others:  # times (x - r)
+            c = [prev - r * cur for prev, cur in zip([0.0] + c, c + [0.0])]
+        cols.append([v / math.prod(xj - r for r in others) for v in c])
+    return np.array(cols).T
+
+
+_VINV = _lagrange_coefficients(_NODES.tolist())
+_MIDS = 0.5 * (_NODES[:-1] + _NODES[1:])  # where a step reads its defect
+_MID_POWERS = _MIDS[:, None] ** np.arange(_DEGREE + 1)
+_STEP_X = np.concatenate([_MIDS, _NODES[1:]])  # every offset a step evaluates
+_CHECK = np.r_[:_DEGREE, 2 * _DEGREE - 1]  # the midpoints and the step end in _STEP_X
+_NEWTON_ITERATIONS = 8
+_NEWTON_GROWTH = 4  # a step that needed more Newton iterations does not grow the next
 
 
 def _cell_index(t0s, ts, cells):
@@ -197,37 +230,38 @@ class _PolyDense:
 
 
 class _ExpDense:
-    """Per-step quadratic-coupling relaxation model (integrating-factor steps)."""
+    """Per-step exponential collocation cells: the relaxation solved exactly
+    under a degree-_DEGREE coupling model g(s) = sum_p coefs[p] (s/h)^p."""
 
-    def __init__(self, m, t0s, hs, theta0, omega0, ga, gb, gc):
+    def __init__(self, m, t0s, hs, theta0, omega0, coefs):
         self.m = m
         self.t0s = np.asarray(t0s)
         self.hs = np.asarray(hs)
         self.theta0 = np.asarray(theta0)
         self.omega0 = np.asarray(omega0)
-        self.ga = np.asarray(ga)
-        self.gb = np.asarray(gb)
-        self.gc = np.asarray(gc)
+        self.coefs = np.asarray(coefs)  # (S, _DEGREE + 1, n); nu is in the constant term
 
     def eval_both(self, ts: np.ndarray, cells=None, *, with_rate=False):
-        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m,
-        g being the cell's quadratic coupling model."""
+        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m.
+
+        One coefficient row per query is gathered at a time, so no
+        (Q, _DEGREE + 1, n) block is formed.
+        """
         ts = np.asarray(ts, dtype=float)
         idx = _cell_index(self.t0s, ts, cells)
         s = ts - self.t0s[idx]
-        m = self.m
-        mom, jom = one_sided_moments(s, m, 2)
-        e = np.exp(-s / m)
-        th0, om0 = self.theta0[idx], self.omega0[idx]
-        a, b, c = self.ga[idx], self.gb[idx], self.gc[idx]
-        conv_w = (a * mom[0][:, None] + b * mom[1][:, None] + c * mom[2][:, None]) / m
-        conv_t = a * jom[0][:, None] + b * jom[1][:, None] + c * jom[2][:, None]
-        omega = om0 * e[:, None] + conv_w
-        theta = th0 + m * (1.0 - e)[:, None] * om0 + conv_t
+        h = self.hs[idx]
+        mom, jom = _scaled_moments(s, h, self.m)
+        rows = (self.coefs[idx, p] for p in range(_DEGREE + 1))
+        decay = np.exp(-s / self.m)
+        theta, omega = _relax(self.m, self.theta0[idx], self.omega0[idx], rows, decay, mom, jom)
         if not with_rate:
             return theta, omega
-        s = s[:, None]
-        return theta, omega, (a + s * (b + s * c) - omega) / m
+        x = (s / h)[:, None]
+        g = self.coefs[idx, _DEGREE]
+        for p in range(_DEGREE - 1, -1, -1):
+            g = g * x + self.coefs[idx, p]
+        return theta, omega, (g - omega) / self.m
 
 
 @dataclass(frozen=True)
@@ -293,11 +327,6 @@ class Trajectory:
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
         return PhaseState(float(t), th[0], om[0])
-
-
-def _scaled_error(err_vec, y_old, y_new, tol):
-    scale = tol * (1.0 + np.maximum(np.abs(y_old), np.abs(y_new)))
-    return float(np.max(np.abs(err_vec) / scale))
 
 
 def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
@@ -409,84 +438,176 @@ def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
     return grid, theta_g, omega_g, dense
 
 
-def _exp_substep(params, theta0, omega0, h, g_fun):
-    """One integrating-factor step: exact relaxation, quadratic coupling model.
+def _scaled_moments(s, h, m):
+    """The relaxation moments of (u/h)^p at offsets s, M_p(s)/h^p and J_p(s)/h^p.
 
-    Returns endpoint state and the monomial coefficients (a, b, c) of the
-    coupling model g(s) ~ a + b*s + c*s^2 on [0, h].
+    Two (_DEGREE + 1, Q) arrays; `h` is a scalar or one width per offset.
     """
-    m = params.inertia_m
-    g0 = g_fun(theta0)
-    a, b, c = g0, np.zeros_like(g0), np.zeros_like(g0)
-    mh0, mh1, mh2, jh0, jh1, jh2 = scalar_relax_moments(h, m)
-    _, _, _, jm0, jm1, jm2 = scalar_relax_moments(h / 2.0, m)
-    eh = math.exp(-h / m)
-    em = math.exp(-h / (2.0 * m))
-    drift_mid = theta0 + m * (1.0 - em) * omega0
-    drift_end = theta0 + m * (1.0 - eh) * omega0
-    for _ in range(_CORRECTOR_SWEEPS):
-        gm = g_fun(drift_mid + (a * jm0 + b * jm1 + c * jm2))
-        g1 = g_fun(drift_end + (a * jh0 + b * jh1 + c * jh2))
-        a = g0
-        b = (4.0 * gm - 3.0 * g0 - g1) / h
-        c = 2.0 * (g0 - 2.0 * gm + g1) / h**2
-    th_end = drift_end + (a * jh0 + b * jh1 + c * jh2)
-    om_end = omega0 * eh + (a * mh0 + b * mh1 + c * mh2) / m
-    return th_end, om_end, (a, b, c)
+    mom, jom = one_sided_moments(s, m, _DEGREE)
+    scale = np.asarray(h, dtype=float) ** -np.arange(_DEGREE + 1.0)[:, None]
+    return np.asarray(mom) * scale, np.asarray(jom) * scale
+
+
+def _relax(m, theta0, omega0, coefs, decay, mom, jom):
+    """theta and omega at offsets s into a cell under the coupling model sum_p coefs[p] (u/h)^p.
+
+    theta(s) = theta0 + m (1 - e^{-s/m}) omega0 + sum_p coefs[p] J_p(s)/h^p,
+    omega(s) = omega0 e^{-s/m} + sum_p coefs[p] M_p(s)/(m h^p);
+    `decay` is e^{-s/m} (Q,), `mom` and `jom` come from `_scaled_moments`, and
+    `coefs` yields one row per order that broadcasts against (Q, n).
+    """
+    theta = theta0 + mom[0][:, None] * omega0  # M_0(s) = m (1 - e^{-s/m})
+    omega = omega0 * decay[:, None]
+    for p, row in enumerate(coefs):
+        theta = theta + jom[p][:, None] * row
+        omega = omega + (mom[p] / m)[:, None] * row
+    return theta, omega
+
+
+class _Collocation:
+    """One exp step's linear algebra at a step size h, for a Jacobian frozen at its start.
+
+    The unknowns X (_DEGREE, n) are the coupling at the nodes x_1..x_q; the
+    phases there are theta_base + w0 c(theta0) + W X.  Newton's correction
+    equation dX - W dX D = F, with the mean-field Jacobian
+    D = (kappa/N) (P P^T - diag(d)), P = [cos theta0, sin theta0] and
+    d_i = sum_l cos(theta0_l - theta0_i), splits per oscillator into
+    A_i = I + (kappa/N) d_i W and a rank-2 remainder, which a 2q x 2q
+    Woodbury capacitance solves.  Memory is O(q^2 n).
+    """
+
+    def __init__(self, params, theta0, omega0, h):
+        m = params.inertia_m
+        mom, jom = _scaled_moments(_STEP_X * h, h, m)
+        self.mom, self.jom = mom, jom
+        self.decay = np.exp(-_STEP_X * h / m)
+        lag = jom[:, _DEGREE:].T @ _VINV  # theta at the nodes is linear in the node values
+        self.w0, self.w = lag[:, 0], lag[:, 1:]
+        nodes = slice(_DEGREE, None)
+        self.base = theta0 + mom[0, nodes, None] * omega0 + jom[0, nodes, None] * params.nat_freq
+        scale = params.coupling_kappa / params.n
+        pmat = np.column_stack([np.cos(theta0), np.sin(theta0)])
+        d = pmat @ pmat.sum(axis=0)
+        # (n, q, q): per oscillator A_i^-1, and B_i = A_i^-1 W
+        self.a_inv = np.linalg.inv(np.eye(_DEGREE) + (scale * d)[:, None, None] * self.w)
+        self.b = self.a_inv @ self.w
+        cap = np.einsum("ia,ib,ijk->ajbk", pmat, pmat, self.b).reshape(2 * _DEGREE, 2 * _DEGREE)
+        self.cap = np.eye(2 * _DEGREE) - scale * cap
+        self.scale, self.pmat = scale, pmat
+
+    def thetas(self, g0, x):
+        """Phases at the nodes x_1..x_q for coupling values g0 (node 0) and x."""
+        return self.base + np.outer(self.w0, g0) + self.w @ x
+
+    def correction(self, f):
+        """dX with dX - W dX D = f."""
+        r = np.einsum("ijk,ki->ji", self.a_inv, f)
+        y = np.linalg.solve(self.cap, (r @ self.pmat).T.ravel()).reshape(2, _DEGREE).T
+        return r + self.scale * np.einsum("ijk,ki->ji", self.b, y @ self.pmat.T)
+
+
+def _collocate(params, theta, omega, g0, h, prev, limit):
+    """One exp step of width h from (theta, omega), where c(theta) = g0.
+
+    Returns None if Newton does not converge; else the midpoint defect over
+    `limit`, the Newton iterations, the coefficients of the c model and of
+    g = nu + c, (_DEGREE + 1, n) each, and theta, omega and c at the step end.
+    """
+    try:
+        col = _Collocation(params, theta, omega, h)
+    except np.linalg.LinAlgError:
+        return None
+    if prev is None:
+        x = np.tile(g0, (_DEGREE, 1))
+    else:  # the previous step's c model, extrapolated to this step's nodes
+        h_prev, coef_prev = prev
+        x = ((1.0 + _NODES[1:, None] * h / h_prev) ** np.arange(_DEGREE + 1)) @ coef_prev
+    best = math.inf
+    for iterations in range(1, _NEWTON_ITERATIONS + 1):
+        f = _model.coupling_term(params, col.thetas(g0, x)) - x
+        err = float(np.max(np.abs(f)))
+        if not err < best:  # diverging, stalled or not finite
+            return None
+        if err <= 0.1 * limit:
+            break
+        best = err
+        try:
+            x = x + col.correction(f)
+        except np.linalg.LinAlgError:
+            return None
+    else:
+        return None
+    # the monomial coefficients amplify the rounding of what they fit up to
+    # 7e3 times, so they fit the change from node 0, which is small on short steps
+    coef_c = _VINV[:, 1:] @ (x - g0)
+    coef_c[0] += g0
+    coef = coef_c.copy()
+    coef[0] += params.nat_freq
+    th, om = _relax(params.inertia_m, theta, omega, coef,
+                    col.decay[_CHECK], col.mom[:, _CHECK], col.jom[:, _CHECK])
+    c = _model.coupling_term(params, th)  # at the midpoints and the step end
+    defect = float(np.max(np.abs(_MID_POWERS @ coef_c - c[:-1]))) / limit
+    return defect, iterations, coef_c, coef, th[-1], om[-1], c[-1]
 
 
 def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
-    m = params.inertia_m
+    """Exponential collocation under defect control.
 
-    def g_fun(th):
-        return params.nat_freq + _model.coupling_term(params, th)
-
+    Each step treats the relaxation -omega/m exactly and models the coupling
+    c(theta) by the degree-q polynomial through its values at q + 1
+    Chebyshev-Lobatto nodes of the step (Hochbruck & Ostermann, Acta Numerica
+    19, 2010).  Node 0 is c(theta0); the others solve the collocation
+    equations by simplified Newton with the Jacobian frozen at the step start,
+    from the previous step's polynomial extrapolated.  A step is accepted when
+    the ODE defect m omega' + omega - nu - c(theta) at the q midpoints between
+    the nodes, the quantity `model._defect_bound` reads, stays below
+    _DEFECT_FACTOR * tol plus a rounding floor; the next step follows that
+    defect as its 1/(q + 1)th power.  A Newton iteration that does not
+    converge halves the step.
+    """
+    limit = _DEFECT_FACTOR * tol + _DEFECT_NOISE * params.coupling_kappa
     t = 0.0
     theta, omega = np.array(theta0), np.array(omega0)
+    g0 = _model.coupling_term(params, theta)
     h = horizon
+    prev = None  # (h, c-model coefficients) of the last accepted step
 
     grid = [0.0]
     thetas = [theta.copy()]
     omegas = [omega.copy()]
-    seg_t0, seg_h, seg_th0, seg_om0, seg_a, seg_b, seg_c = [], [], [], [], [], [], []
+    seg_t0, seg_h, seg_th0, seg_om0, seg_coef = [], [], [], [], []
 
     steps = 0
     while t < horizon - 1e-14 * max(1.0, horizon):
         if steps >= max_steps:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
-        h = min(h, horizon - t)
-        th_f, om_f, _ = _exp_substep(params, theta, omega, h, g_fun)
-        th_a, om_a, mod_a = _exp_substep(params, theta, omega, h / 2.0, g_fun)
-        th_b, om_b, mod_b = _exp_substep(params, th_a, om_a, h / 2.0, g_fun)
-        err = max(
-            _scaled_error(th_f - th_b, theta, th_b, tol),
-            _scaled_error(om_f - om_b, omega, om_b, tol),
-        )
         steps += 1
-        if err <= 1.0:
-            for t_start, hh, th_s, om_s, mod in (
-                (t, h / 2.0, theta, omega, mod_a),
-                (t + h / 2.0, h / 2.0, th_a, om_a, mod_b),
-            ):
-                seg_t0.append(t_start)
-                seg_h.append(hh)
-                seg_th0.append(th_s.copy())
-                seg_om0.append(om_s.copy())
-                seg_a.append(mod[0])
-                seg_b.append(mod[1])
-                seg_c.append(mod[2])
-            grid.extend([t + h / 2.0, t + h])
-            thetas.extend([th_a.copy(), th_b.copy()])
-            omegas.extend([om_a.copy(), om_b.copy()])
-            theta, omega = th_b, om_b
-            t += h
-            h *= min(4.0, max(0.3, 0.85 * (err + 1e-16) ** -0.25))
+        h = min(h, horizon - t)
+        step = _collocate(params, theta, omega, g0, h, prev, limit)
+        if step is None:  # Newton did not converge
+            h *= 0.5
         else:
-            h *= max(0.3, 0.85 * err**-0.25)
-            if h < 1e-15 * max(1.0, horizon):
-                raise IntegrationError("step size underflow; tolerance unachievable")
+            defect, iterations, coef_c, coef, th_end, om_end, g_end = step
+            if defect <= 1.0:
+                seg_t0.append(t)
+                seg_h.append(h)
+                seg_th0.append(theta)
+                seg_om0.append(omega)
+                seg_coef.append(coef)
+                t += h
+                theta, omega, g0 = th_end, om_end, g_end
+                grid.append(t)
+                thetas.append(theta)
+                omegas.append(omega)
+                prev = (h, coef_c)
+                grow = min(5.0, max(0.2, 0.9 * (defect + 1e-16) ** (-1.0 / (_DEGREE + 1))))
+                h *= grow if iterations <= _NEWTON_GROWTH else min(grow, 1.0)
+                continue
+            h *= max(0.2, 0.9 * defect ** (-1.0 / (_DEGREE + 1)))
+        if h < 1e-15 * max(1.0, horizon):
+            raise IntegrationError("step size underflow; tolerance unachievable")
 
-    dense = _ExpDense(m, seg_t0, seg_h, seg_th0, seg_om0, seg_a, seg_b, seg_c)
+    dense = _ExpDense(params.inertia_m, seg_t0, seg_h, seg_th0, seg_om0, seg_coef)
     return np.asarray(grid), np.asarray(thetas), np.asarray(omegas), dense
 
 

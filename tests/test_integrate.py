@@ -97,22 +97,43 @@ def test_integrate_validation():
 
 
 def test_nan_residual_fails_certification(monkeypatch):
-    # nu = +-1e300 overflows the exp residual to NaN, which compares False with the gate
-    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
-    params = SystemParams(2, 5e-5, 1.0, [1e300, -1e300])
-    with pytest.raises(IntegrationError, match="certification failed: residual nan"):
-        integrate(params, init, 1.0, 1e-8)
-
-    # DOP853 rejects every step that overflows, so the NaN is handed to its gate
+    # a NaN residual compares False with the gate; each stepper hands its run
+    # to the gate, so the NaN is driven through it on clean runs of both
     def nan_rows(params, traj, *_):
         return np.full((len(traj.grid), params.n), np.nan)
 
-    params = SystemParams(2, 0.01, 1.0, [0.5, -0.5])
-    assert integrate(params, init, 1.0, 1e-8).method == "dop853"
+    init = PhaseState(0.0, [0.0, 1.0], [0.0, 0.0])
+    runs = [SystemParams(2, 5e-5, 1.0, [0.5, -0.5]), SystemParams(2, 0.01, 1.0, [0.5, -0.5])]
+    assert [integrate(params, init, 1.0, 1e-8).method for params in runs] == ["exp", "dop853"]
     monkeypatch.setattr(model, "duhamel_residual_grid", nan_rows)
     monkeypatch.setattr(model, "_defect_bound", nan_rows)
-    with pytest.raises(IntegrationError, match="certification failed: residual nan"):
-        integrate(params, init, 1.0, 1e-8)
+    for params in runs:
+        with pytest.raises(IntegrationError, match="certification failed: residual nan"):
+            integrate(params, init, 1.0, 1e-8)
+
+
+def test_an_unachievable_exp_run_raises_after_few_coupling_calls(monkeypatch):
+    # nu = +-1e300 swamps the phases' rounding, so no step passes its defect
+    # check: the run must end in the stepper, not in horizon/m = 1e7 nodes of
+    # the exact residual
+    calls = []
+    coupling = model.coupling_term
+
+    def counted(params, theta):
+        calls.append(1)
+        if len(calls) > 500:
+            raise AssertionError("the stepper keeps evaluating the coupling")
+        return coupling(params, theta)
+
+    def exact(params, traj):
+        raise AssertionError("the exact residual costs horizon / m")
+
+    monkeypatch.setattr(model, "coupling_term", counted)
+    monkeypatch.setattr(model, "duhamel_residual_grid", exact)
+    params = SystemParams(2, 1e-7, 1.0, [1e300, -1e300])
+    with pytest.raises(IntegrationError, match="step size underflow"):
+        integrate(params, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 1.0, 1e-8)
+    assert len(calls) <= 500
 
 
 @pytest.mark.parametrize("m, method", [(0.1, "dop853"), (1e-6, "exp")])

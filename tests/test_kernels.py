@@ -2,15 +2,15 @@
 
 from __future__ import annotations
 
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from synclab._kernels import (
-    exp_moments,
-    one_sided_moments,
-    relaxation_convolution,
-    scalar_relax_moments,
-)
+from synclab import _kernels
+from synclab._kernels import exp_moments, one_sided_moments, relaxation_convolution
 
 _X, _W = np.polynomial.legendre.leggauss(60)
 
@@ -65,9 +65,9 @@ def test_one_sided_moments_match_oracle(oracle_table):
         assert _rel_err(jom[p], table[p][:, 1]) < 1e-12, p
 
 
-def test_scalar_relax_moments_match_oracle(oracle_table):
+def test_moments_at_scalar_inputs_match_oracle(oracle_table):
     s, table = oracle_table
-    got = np.array([scalar_relax_moments(float(si), _M) for si in s])
+    got = np.array([np.ravel(one_sided_moments(float(si), _M, 2)) for si in s])
     for p in range(3):
         assert _rel_err(got[:, p], table[p][:, 0]) < 1e-12, p
         assert _rel_err(got[:, 3 + p], table[p][:, 1]) < 1e-12, p
@@ -78,7 +78,49 @@ def test_moments_keep_the_input_shape():
     mom, jom = one_sided_moments(np.full((3, 2), 0.2), 1.0, 1)
     assert mom[1].shape == jom[1].shape == (3, 2)
     with pytest.raises(ValueError):
-        exp_moments(0.2, 1.0, 4)
+        exp_moments(0.2, 1.0, _kernels._MAX_ORDER + 1)
+
+
+def _panel_oracle(s: float, m: float, p: int) -> tuple[float, float]:
+    """M_p and J_p by the 60-point rule on panels that shrink towards u = s.
+
+    Panel k spans [s - 2^(k+1) m, s - 2^k m], so the kernel varies by at most
+    e^(2^k) on it, and the panels past 2^7 m carry less than e^-128 of M_p.
+    """
+    cuts = [s - m * 2.0**k for k in range(8) if m * 2.0**k < s]
+    edges = sorted({0.0, s, *cuts})
+    mp = jp = 0.0
+    for a, b in zip(edges[:-1], edges[1:]):
+        mp += _gauss(lambda u: u**p * np.exp(-(s - u) / m), a, b)
+        jp += _gauss(lambda u: u**p * -np.expm1(-(s - u) / m), a, b)
+    return mp, jp
+
+
+_SWITCHES = sorted({w for w in _kernels._SWITCH_M + _kernels._SWITCH_J if w > 0})
+
+
+@settings(deadline=None, max_examples=150)
+@given(
+    st.one_of(
+        st.floats(-8.0, 3.0).map(lambda e: 10.0**e),
+        st.tuples(st.sampled_from(_SWITCHES), st.sampled_from([1 - 1e-9, 1 + 1e-9])).map(
+            lambda w: w[0] * w[1]
+        ),
+    ),
+    st.floats(1e-4, 1e2),
+)
+def test_moments_of_every_order_match_the_gauss_oracle(z, m):
+    # every order the exp stepper uses, from deep in the series branch to
+    # far past every switch, and on both sides of each switch
+    q = importlib.import_module("synclab.integrate")._DEGREE
+    s = z * m
+    mom, jom = one_sided_moments(np.array([s]), m, q)
+    only_m = exp_moments(s, m, q)
+    for p in range(q + 1):
+        want_m, want_j = _panel_oracle(s, m, p)
+        assert abs(mom[p][0] - want_m) <= 1e-12 * want_m, (p, z)
+        assert abs(only_m[p] - want_m) <= 1e-12 * want_m, (p, z)
+        assert abs(jom[p][0] - want_j) <= 1e-12 * want_j, (p, z)
 
 
 def _hermite(u, a, b, f0, df0, f1, df1):

@@ -291,10 +291,12 @@ def test_defect_bound_certifies_a_clean_dop853_run():
 
 
 def test_defect_bound_flags_a_corrupted_coupling_model():
-    # a wrong quadratic coefficient in one cell's coupling model: the defect
-    # there is about 1e-5 s^2
+    # a wrong top coefficient in one cell's coupling model: the defect there
+    # is about 1e-5 x^q, x = (t - t_k) / h_k
     p, traj, k, gate = _long_exp_cell()
-    bad = _with_segment(traj, k, "gc", 1e-5 / (traj.grid[k + 1] - traj.grid[k]) ** 2)
+    change = np.zeros(traj._dense.coefs.shape[1:])
+    change[-1, 0] = 1e-5
+    bad = _with_segment(traj, k, "coefs", change)
     bound = model._defect_bound(p, bad, gate)
     assert bound[k + 1].max() > gate
     assert bound[: k + 1].max() < gate
@@ -447,6 +449,49 @@ def test_defect_bound_covers_the_residual_on_the_desk_runs(seed, n):
     assert exact <= traj.duhamel_sup <= 50 * cfg.tol
 
 
+def _exact_residual_forbidden(monkeypatch):
+    def exact(params, traj):
+        raise AssertionError("the defect bound proves this run")
+
+    monkeypatch.setattr(model, "duhamel_residual_grid", exact)
+
+
+@pytest.mark.parametrize("seed, n", _DESK_SEEDS)
+def test_desk_runs_take_steps_on_the_time_scale_of_the_locked_flow(monkeypatch, seed, n):
+    # past the O(m) layer the run follows the first-order flow, whose time
+    # scale is 1/kappa = 1: steps tied to m = 0.01 or to tol^(1/4) would take
+    # hundreds of grid points and thousands of coupling calls here, and once
+    # the ensemble locks, twice the horizon costs next to nothing
+    _exact_residual_forbidden(monkeypatch)
+    calls = []
+    coupling = model.coupling_term
+
+    def counted(params, theta):
+        calls.append(1)
+        return coupling(params, theta)
+
+    monkeypatch.setattr(model, "coupling_term", counted)
+    points = []
+    for horizon in (200.0, 400.0):
+        calls.clear()
+        cfg = ScenarioConfig(seed=seed, n=n, horizon=horizon, tol=1e-8, eps=0.05)
+        traj = _sync_scenario(cfg, 0)["trajectory"]
+        assert traj.method == "exp" and traj.duhamel_sup <= 50 * cfg.tol
+        points.append(len(traj.grid))
+        if horizon == 200.0:
+            assert points[0] <= 100 and len(calls) <= 600, (points, len(calls))
+    assert points[1] <= 1.1 * points[0], points
+
+
+def test_small_inertia_run_is_certified_by_the_bound_alone(monkeypatch):
+    # the benchmark's small-m scenario: m = 1e-3 over 150 time units
+    _exact_residual_forbidden(monkeypatch)
+    cfg = ScenarioConfig(seed=5, n=2, horizon=150.0, tol=1e-8, eps=0.05, a_freq_spread=0.005,
+                         b_velocity_spread=0.005, c_inertia=1e-3)
+    traj = _sync_scenario(cfg, 0)["trajectory"]
+    assert traj.method == "exp" and traj.duhamel_sup <= 50 * cfg.tol
+
+
 class _RelaxingCluster:
     """n identical oscillators in one phase: the coupling vanishes, and each
     follows the single-oscillator relaxation in closed form."""
@@ -508,6 +553,17 @@ def test_coupling_and_jet_memory_is_linear_in_n():
     c, peak = _traced_peak_mib(coupling_term, params, rng.uniform(0.0, 2 * math.pi, n))
     assert c.shape == (n,)
     assert peak < 2.0
+
+
+def test_exp_integration_memory_is_linear_in_n():
+    # n = 1024: one (n, n) float array takes 8 MiB, one (q n, q n) array 288 MiB
+    rng = np.random.default_rng(3)
+    n = 1024
+    params = SystemParams(n, 5e-4, 1.0, rng.normal(0.0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * math.pi, n), rng.normal(0.0, 0.3, n))
+    traj, peak = _traced_peak_mib(integrate, params, init, 10.0, 1e-8)
+    assert traj.method == "exp" and traj.duhamel_sup <= 50 * 1e-8
+    assert peak < 32.0
 
 
 @st.composite
