@@ -59,8 +59,11 @@ def _moments_flat(s: np.ndarray, m: float, pmax: int, with_j: bool):
         raise ValueError(f"moment order must lie in 0..{_MAX_ORDER}")
     z = s / m
     mom = [-m * np.expm1(-z)]
-    for p in range(1, pmax + 1):
-        mom.append(m * (s**p - p * mom[-1]))
+    # far below an order's switch its recurrence can overflow, as the rounding
+    # of M_0 grows by m per order; the series below replaces those entries
+    with np.errstate(over="ignore"):
+        for p in range(1, pmax + 1):
+            mom.append(m * (s**p - p * mom[-1]))
     jom = [s ** (p + 1) / (p + 1) - mom[p] for p in range(pmax + 1)] if with_j else None
     below = z < (_SWITCH_J if with_j else _SWITCH_M)[pmax]
     if below.any():

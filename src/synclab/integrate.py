@@ -1,22 +1,18 @@
-"""Certified trajectories for both oscillator systems.
+"""Certified trajectories for both oscillator systems, one stepper each.
 
-Two steppers share one Trajectory contract:
-
-* DOP853, Hairer's explicit Runge-Kutta pair of order 8 with its 7th-order
-  dense output, used whenever the inertia is resolvable and for m = 0; a
-  step it accepts must also pass a check of the ODE defect of its own dense
-  output at three points of the cell;
-* exponential collocation for m below 1e-4 * horizon: each step solves the
-  velocity relaxation exactly and models the coupling by the degree-6
-  polynomial through its values at the step's Chebyshev-Lobatto nodes, found
-  by simplified Newton; the ODE defect at the midpoints between the nodes
-  controls the step, so past the O(m) layer steps follow the first-order
-  flow's time scale 1/kappa rather than m.
+* The inertial system (m > 0) takes exponential collocation: each step
+  solves the velocity relaxation exactly and models the coupling by the
+  degree-6 polynomial through its values at the step's Chebyshev-Lobatto
+  nodes, found by simplified Newton; the ODE defect at the midpoints between
+  the nodes controls the step, so past the O(m) layer steps follow the
+  first-order flow's time scale 1/kappa rather than m.
+* The first-order system (m = 0) takes DOP853, Hairer's explicit
+  Runge-Kutta pair of order 8 with its 7th-order dense output; a step it
+  accepts must also pass a check of the ODE defect of its own dense output
+  at three points of the cell.
 
 In both, error control and the remaining span alone set the step: the first
-attempt spans the whole horizon and rejections shrink it.  Every accepted
-step of either has passed a check of the same ODE defect that the
-certificate below reads.
+attempt spans the whole horizon and rejections shrink it.
 
 Every inertial trajectory is certified on construction: the residual of the
 velocity integral representation must stay below 50 * tol.  It is certified
@@ -49,7 +45,6 @@ __all__ = [
 
 MAX_JET_ORDER = 12
 CERTIFICATION_FACTOR = 50.0
-EXP_SWITCH = 1e-4  # exponential collocation below m < EXP_SWITCH * horizon
 STEP_SAFETY = 0.3  # steppers target this fraction of the requested tol
 
 
@@ -155,11 +150,10 @@ _DEFECT_X = np.array([0.35, 0.7, 0.95])
 _DEFECT_VALUE = _DEFECT_X[:, None] ** np.arange(1, 8)  # x^p
 _DEFECT_SLOPE = np.arange(1, 8) * _DEFECT_X[:, None] ** np.arange(7)  # p x^(p-1)
 _DEFECT_FACTOR = 3.0  # a step's sampled defect must stay below this times its tol
-# The sampled defect's rounding floor per unit of 1 + max|omega|: the dense
-# output's derivative weights amplify the rounding of the stages about this
-# much, so at tol near 1e-13 the check would otherwise reject every step.  The
-# exp stepper takes it per unit of kappa, which bounds the coupling it fits;
-# scaled by |omega| its check would pass steps that the certificate fails.
+# The exp stepper's rounding floor on its sampled defect, per unit of kappa,
+# which bounds the coupling it fits: at tol near 1e-13 the check would
+# otherwise reject every step.  Scaled by |omega| instead, the check would
+# pass steps that the certificate fails.
 _DEFECT_NOISE = 2.0**10 * np.finfo(float).eps
 # The exp stepper: a degree-_DEGREE coupling model through the Chebyshev-Lobatto
 # nodes of [0, 1]; _VINV maps node values to monomial coefficients.  It is
@@ -302,9 +296,6 @@ class Trajectory:
         if self.method == "exp":
             return self._dense.eval_both(ts, cells)
         y = self._dense.eval(ts, cells)
-        if self.params.is_inertial:
-            n = self.params.n
-            return y[:, :n], y[:, n:]
         return y, rhs_first_order(self.params, y)
 
     def eval_rate(self, ts, cells=None) -> np.ndarray:
@@ -317,9 +308,6 @@ class Trajectory:
         if self.method == "exp":
             return self._dense.eval_both(ts, cells, with_rate=True)
         y, dy = self._dense.eval(ts, cells, with_rate=True)
-        if self.params.is_inertial:
-            n = self.params.n
-            return y[:, :n], y[:, n:], dy[:, n:]
         # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
         g, dg = _model.coupling_and_rate(self.params, y, dy)
         return y, self.params.nat_freq + g, dg
@@ -329,40 +317,20 @@ class Trajectory:
         return PhaseState(float(t), th[0], om[0])
 
 
-def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
-    """DOP853 loop with 7th-order dense output and a defect check per step.
+def _integrate_dop853(params, theta0, horizon, tol, max_steps):
+    """DOP853 loop for the first-order system, with 7th-order dense output.
 
     The error is Hairer's blend of the 5th- and 3rd-order estimates in the
-    max norm.  For m > 0 the accept test scales it by max(1, 2m/h): the
-    velocity-residual certificate integrates step defects over the kernel
-    memory window of width m, so per-step errors must shrink with h/m for
-    the 50*tol threshold to hold independently of the tolerance regime.
-
-    A step that passes the error test must also pass a defect check on its
-    own dense output at _DEFECT_X: for m > 0 the defect m omega' + omega -
-    nu - c(theta) that `model._defect_bound` reads, for m = 0 the defect
-    theta' - nu - c(theta), scaled like the local error.  The next step
-    follows the error as err^(-1/8) and the defect as its 1/7th power.
+    max norm.  A step that passes the error test must also pass a check of
+    the defect theta' - nu - c(theta) of its own dense output at _DEFECT_X,
+    scaled like the local error.  The next step follows the error as
+    err^(-1/8) and the defect as its 1/7th power.
     """
-    m = params.inertia_m
-    n = params.n
-    if params.is_inertial:
-        def f(y):
-            th, om = y[:n], y[n:]
-            return np.concatenate([om, (params.nat_freq - om + _model.coupling_term(params, th)) / m])
-
-        y = np.concatenate([theta0, omega0])
-    else:
-        def f(y):
-            return rhs_first_order(params, y)
-
-        y = np.array(theta0)
-
-    dim = y.shape[0]
+    y = np.array(theta0)
     t = 0.0
     h = horizon
-    k = np.empty((16, dim))
-    k[0] = f(y)
+    k = np.empty((16, y.shape[0]))
+    k[0] = rhs_first_order(params, y)
 
     grid = [0.0]
     ys = [y.copy()]
@@ -380,34 +348,26 @@ def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
         steps += 1
         h = min(h, horizon - t)
         for i in range(1, 12):
-            k[i] = f(y + h * (_A[i, :i] @ k[:i]))
+            k[i] = rhs_first_order(params, y + h * (_A[i, :i] @ k[:i]))
         y_new = y + h * (_B @ k[:12])
-        k[12] = f(y_new)
+        k[12] = rhs_first_order(params, y_new)
         size = 1.0 + np.maximum(np.abs(y), np.abs(y_new))  # the error scale is tol * size
         err5 = float(np.max(np.abs(_E5 @ k[:12]) / size)) / tol
         err3 = float(np.max(np.abs(_E3 @ k[:12]) / size)) / tol
         denom = err5 * err5 + 0.01 * err3 * err3
         err = 0.0 if denom == 0.0 else h * err5 * err5 / math.sqrt(denom)
-        if params.is_inertial:
-            err *= max(1.0, 2.0 * m / h)
         accept = err <= 1.0  # a NaN rejects too
         if accept:
             for i in range(13, 16):
-                k[i] = f(y + h * (_A[i, :i] @ k[:i]))
+                k[i] = rhs_first_order(params, y + h * (_A[i, :i] @ k[:i]))
             # the rows of _DENSE sum to (1, 0, ..., 0): weighing k - k[0] keeps
             # the large weights from amplifying the rounding of k itself
             coef = h * (_DENSE @ (k - k[0]))
             coef[0] += h * k[0]
             y_chk = y + _DEFECT_VALUE @ coef
             rate = (_DEFECT_SLOPE @ coef) / h
-            limit = _DEFECT_FACTOR * tol
-            if params.is_inertial:
-                delta = m * rate[:, n:] + y_chk[:, n:] - params.nat_freq
-                delta -= _model.coupling_term(params, y_chk[:, :n])
-                limit += _DEFECT_NOISE * float(size[n:].max())
-            else:
-                delta = h * (rate - rhs_first_order(params, y_chk)) / size
-            defect = float(np.max(np.abs(delta))) / limit
+            delta = h * (rate - rhs_first_order(params, y_chk)) / size
+            defect = float(np.max(np.abs(delta))) / (_DEFECT_FACTOR * tol)
             accept = defect <= 1.0
         if accept:
             t0s.append(t)
@@ -427,15 +387,9 @@ def _integrate_dop853(params, theta0, omega0, horizon, tol, max_steps):
             if h < 1e-15 * max(1.0, horizon):
                 raise IntegrationError("step size underflow; tolerance unachievable")
 
-    grid = np.asarray(grid)
-    ys = np.asarray(ys)
+    theta_g = np.asarray(ys)
     dense = _PolyDense(t0s, hs, y0s, coefs)
-    if params.is_inertial:
-        theta_g, omega_g = ys[:, :n], ys[:, n:]
-    else:
-        theta_g = ys
-        omega_g = rhs_first_order(params, theta_g)
-    return grid, theta_g, omega_g, dense
+    return np.asarray(grid), theta_g, rhs_first_order(params, theta_g), dense
 
 
 def _scaled_moments(s, h, m):
@@ -621,11 +575,13 @@ def integrate(
 ) -> Trajectory:
     """Integrate either system over [0, horizon] with local tolerance tol.
 
-    For m = 0 the initial omega is ignored and recomputed from the phase
-    configuration.  Inertial trajectories are certified against the velocity
-    integral representation (sup residual must be <= 50 * tol) by the defect
-    bound of `model._defect_bound` where it proves that, and by the residual
-    itself, `model.duhamel_residual_grid`, where it does not.
+    m > 0 takes the exp stepper and m = 0 takes DOP853, which the method
+    label records.  For m = 0 the initial omega is ignored and recomputed
+    from the phase configuration.  Inertial trajectories are certified
+    against the velocity integral representation (sup residual must be
+    <= 50 * tol) by the defect bound of `model._defect_bound` where it proves
+    that, and by the residual itself, `model.duhamel_residual_grid`, where
+    it does not.
     """
     if not (math.isfinite(horizon) and horizon > 1e-14):
         raise ValueError("horizon must be finite and longer than 1e-14")
@@ -637,25 +593,25 @@ def integrate(
         raise ValueError("initial state must be stamped t = 0")
 
     theta0 = np.array(init.theta, dtype=float)
-    omega0 = np.array(init.omega, dtype=float) if params.is_inertial else None
-    method = "exp" if params.is_inertial and params.inertia_m < EXP_SWITCH * horizon else "dop853"
-    stepper = _integrate_exp if method == "exp" else _integrate_dop853
+    step_tol = STEP_SAFETY * tol
     # Overflow and NaN raise no numpy warning here: they end in a rejected
     # step, a step-size underflow or a residual that fails the gate below.
     with np.errstate(all="ignore"):
-        grid, th, om, dense = stepper(params, theta0, omega0, horizon, STEP_SAFETY * tol, max_steps)
-        traj = Trajectory(params, grid, th, om, tol, method, None, dense)
-        sup = None
-        if params.is_inertial:
-            gate = CERTIFICATION_FACTOR * tol
-            bound = _model._defect_bound(params, traj, gate)
-            if bound is not None and bound.max() <= gate:
-                sup = float(bound.max())
-            else:
-                sup = float(np.max(np.abs(_model.duhamel_residual_grid(params, traj))))
-            if not sup <= gate:  # a NaN residual fails too
-                raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
-    return Trajectory(params, grid, th, om, tol, method, sup, dense)
+        if not params.is_inertial:
+            grid, th, om, dense = _integrate_dop853(params, theta0, horizon, step_tol, max_steps)
+            return Trajectory(params, grid, th, om, tol, "dop853", None, dense)
+        omega0 = np.array(init.omega, dtype=float)
+        grid, th, om, dense = _integrate_exp(params, theta0, omega0, horizon, step_tol, max_steps)
+        gate = CERTIFICATION_FACTOR * tol
+        traj = Trajectory(params, grid, th, om, tol, "exp", None, dense)
+        bound = _model._defect_bound(params, traj, gate)
+        if bound is not None and bound.max() <= gate:
+            sup = float(bound.max())
+        else:
+            sup = float(np.max(np.abs(_model.duhamel_residual_grid(params, traj))))
+        if not sup <= gate:  # a NaN residual fails too
+            raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
+    return Trajectory(params, grid, th, om, tol, "exp", sup, dense)
 
 
 @dataclass(frozen=True)
@@ -722,7 +678,14 @@ def first_zero(
     *,
     tol: float = 1e-10,
 ) -> float:
-    """Locate a sign change of a scalar state functional on the dense output."""
+    """Locate a sign change of a scalar state functional on the dense output.
+
+    Illinois regula falsi: the secant through the bracket ends picks the next
+    time, and an end kept twice in a row has its value halved, so both ends
+    close in.  Each new time stays tol/2 inside the bracket, so once one end
+    sits within tol/2 of the zero the next one lands past it.  Returns the
+    midpoint once the bracket is no wider than tol.
+    """
     lo, hi = float(bracket[0]), float(bracket[1])
     f_lo = signal(traj.state_at_time(lo))
     f_hi = signal(traj.state_at_time(hi))
@@ -732,13 +695,21 @@ def first_zero(
         return hi
     if f_lo * f_hi > 0.0:
         raise ValueError("signal has no sign change over the bracket")
+    kept = 0  # -1 while lo was kept last, +1 while hi was
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        f_mid = signal(traj.state_at_time(mid))
-        if f_mid == 0.0:
-            return mid
-        if f_lo * f_mid < 0.0:
-            hi, f_hi = mid, f_mid
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+        t = min(max(t, lo + 0.5 * tol), hi - 0.5 * tol)
+        f_t = signal(traj.state_at_time(t))
+        if f_t == 0.0:
+            return t
+        if (f_t < 0.0) == (f_lo < 0.0):
+            lo, f_lo = t, f_t
+            if kept == 1:
+                f_hi *= 0.5
+            kept = 1
         else:
-            lo, f_lo = mid, f_mid
+            hi, f_hi = t, f_t
+            if kept == -1:
+                f_lo *= 0.5
+            kept = -1
     return 0.5 * (lo + hi)

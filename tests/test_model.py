@@ -216,24 +216,23 @@ def _check_flags_corrupted_cell(p, traj, k, tol):
     assert res[: k + 1].max() < 50 * tol
 
 
-def _exp_or_dop853_run(method):
-    if method == "exp":
-        p = SystemParams(2, 1e-3, 1.0, [0.05, -0.05])
+def _certified_run(m):
+    """A certified run at m = 1e-3, with cells many m long, or at m = 0.3."""
+    if m == 1e-3:
+        p = SystemParams(2, m, 1.0, [0.05, -0.05])
         traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-8)
     else:
-        p = SystemParams(3, 0.3, 1.0, [0.2, 0.0, -0.2])
+        p = SystemParams(3, m, 1.0, [0.2, 0.0, -0.2])
         traj = integrate(p, PhaseState(0.0, [0.0, 1.0, 2.0], [0.1, 0.0, -0.1]), 10.0, 1e-9)
-    assert traj.method == method
+    assert traj.method == "exp"
     return p, traj
 
 
-@pytest.mark.parametrize(
-    "method, nodes_per_chunk", [("exp", 64), ("dop853", 2), ("dop853", 3), ("dop853", 7)]
-)
-def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per_chunk):
-    # the exp run has 1.2e5 sub-nodes, so its chunks stay at 64 nodes: about
-    # 1900 chunk boundaries, inside long cells and on grid points alike
-    p, traj = _exp_or_dop853_run(method)
+@pytest.mark.parametrize("m, nodes_per_chunk", [(1e-3, 64), (0.3, 2), (0.3, 3), (0.3, 7)])
+def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, m, nodes_per_chunk):
+    # the m = 1e-3 run has 1.2e5 sub-nodes, so its chunks stay at 64 nodes:
+    # about 1900 chunk boundaries, inside long cells and on grid points alike
+    p, traj = _certified_run(m)
     default = duhamel_residual_grid(p, traj)
     t = 0.6 * traj.horizon
     single = duhamel_residual(p, traj, t)
@@ -246,7 +245,7 @@ def test_duhamel_residual_grid_is_chunk_invariant(monkeypatch, method, nodes_per
 
 def _long_exp_cell():
     # a certified exp run and one of its cells, many m long, past t = 8
-    p, traj = _exp_or_dop853_run("exp")
+    p, traj = _certified_run(1e-3)
     k = int(np.searchsorted(traj.grid, 8.0))
     assert traj.grid[k + 1] - traj.grid[k] > 10 * p.inertia_m
     return p, traj, k, 50 * traj.tol
@@ -282,7 +281,7 @@ def _resolved_residual(p, traj, split=32):
 
 
 def test_defect_bound_certifies_a_clean_dop853_run():
-    p, traj = _exp_or_dop853_run("dop853")
+    p, traj = _certified_run(0.3)
     gate = 50 * traj.tol
     bound = model._defect_bound(p, traj, gate)
     assert bound.shape == (len(traj.grid), p.n)
@@ -303,21 +302,6 @@ def test_defect_bound_flags_a_corrupted_coupling_model():
     assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
 
 
-def test_defect_bound_flags_a_corrupted_dop853_cell():
-    # omega_0 off by 1e-4 (x^6 - x^7) inside one cell: exact at both ends,
-    # so the dense output stays continuous and only the defect shows it
-    p, traj = _exp_or_dop853_run("dop853")
-    gate = 50 * traj.tol
-    k = len(traj.grid) // 2
-    change = np.zeros(traj._dense.coefs.shape[1:])
-    change[5:, p.n] = [1e-4, -1e-4]
-    bad = _with_segment(traj, k, "coefs", change)
-    bound = model._defect_bound(p, bad, gate)
-    assert bound[k + 1].max() > gate
-    assert bound[: k + 1].max() < gate
-    assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
-
-
 def test_defect_bound_flags_a_bump_between_dop853_grid_points():
     # a bump on theta_0 (and its rate on omega_0) inside one cell only; the
     # cell is shorter than m, so the bound hands on at most 1 - e^{-h/m} of
@@ -325,7 +309,7 @@ def test_defect_bound_flags_a_bump_between_dop853_grid_points():
     m = 1.0
     p = SystemParams(2, m, 1.0, [0.05, -0.05])
     traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-10)
-    assert traj.method == "dop853"
+    assert traj.method == "exp"
     gate = 50 * traj.tol
     widths = np.diff(traj.grid)
     k = int(np.argmin(widths[1:-1])) + 1
@@ -369,7 +353,7 @@ def test_defect_bound_flags_a_jump_at_a_grid_point():
 
 
 def test_defect_bound_is_chunk_invariant(monkeypatch):
-    for p, traj in (_exp_or_dop853_run("exp"), _exp_or_dop853_run("dop853")):
+    for p, traj in (_certified_run(1e-3), _certified_run(0.3)):
         gate = 50 * traj.tol
         default = model._defect_bound(p, traj, gate)
         with monkeypatch.context() as patch:
@@ -382,26 +366,26 @@ def _exact_only(monkeypatch, bound):
     monkeypatch.setattr(model, "_defect_bound", lambda params, traj, gate: bound(traj))
 
 
-def _check_falls_back(monkeypatch, fallback, method):
+def _check_falls_back(monkeypatch, fallback, m):
     if fallback == "above_gate":
         _exact_only(monkeypatch, lambda traj: np.ones((len(traj.grid), traj.params.n)))
     elif fallback == "unresolved":
         _exact_only(monkeypatch, lambda traj: None)
     else:  # no level to refine to: every cell is unresolved
         monkeypatch.setattr(model, "_DEFECT_LEVELS", (3, 3))
-    p, traj = _exp_or_dop853_run(method)
+    p, traj = _certified_run(m)
     exact = float(np.max(np.abs(duhamel_residual_grid(p, traj))))
     assert traj.duhamel_sup == exact <= 50 * traj.tol
 
 
 @pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
 def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
-    _check_falls_back(monkeypatch, fallback, "exp")
+    _check_falls_back(monkeypatch, fallback, 1e-3)
 
 
 @pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
 def test_dop853_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
-    _check_falls_back(monkeypatch, fallback, "dop853")
+    _check_falls_back(monkeypatch, fallback, 0.3)
 
 
 def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypatch):
@@ -414,7 +398,7 @@ def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypat
     assert traj.method == "exp" and traj.duhamel_sup <= 50 * 1e-8
 
 
-def test_dop853_runs_are_certified_by_the_bound_alone(monkeypatch, sweep_scenario):
+def test_resolved_inertia_runs_are_certified_by_the_bound_alone(monkeypatch, sweep_scenario):
     # criterion 10's run, the Tikhonov sweep and the reconstruction round trip
     def exact(params, traj):
         raise AssertionError("the defect bound proves this run")
@@ -434,7 +418,7 @@ def test_dop853_runs_are_certified_by_the_bound_alone(monkeypatch, sweep_scenari
     runs.append((SystemParams(4, 0.2, 1.0, nu), init, 0.4, 1e-11))
     for params, init, horizon, tol in runs:
         traj = integrate(params, init, horizon, tol)
-        assert traj.method == "dop853" and traj.duhamel_sup <= 50 * tol
+        assert traj.method == "exp" and traj.duhamel_sup <= 50 * tol
 
 
 _DESK_SEEDS = [(42 + k, 2) for k in range(5)] + [(43 + k, 3) for k in range(5)]
