@@ -10,11 +10,13 @@ smooth (non-stiff) part of the integrand.  Computing these moments in closed
 form keeps the quadrature error independent of the stiffness ratio s/m.
 
 Up to order 6 they are the exp stepper's phi-functions: the relaxation solved
-exactly under its degree-6 coupling model.  `relaxation_convolution` chains
-them into the convolution of the kernel with a piecewise cubic Hermite model,
-the one integral behind both the velocity certificate and the velocity
-reconstruction map; `relaxation_chain` is the node-to-node recurrence under
-it, which also carries the defect bound of the certificate from cell to cell.
+exactly under its degree-6 coupling model.  At m = 0 the stepper takes their
+limits, M_p/m -> s^p and J_p -> s^(p+1)/(p+1), without these kernels.
+`relaxation_convolution` chains them into the convolution of the kernel with
+a piecewise cubic Hermite model, the one integral behind both the exact
+velocity residual and the velocity reconstruction map; `relaxation_chain` is
+the node-to-node recurrence under it, which also carries the defect bound,
+the velocity certificate, from cell to cell.
 """
 
 from __future__ import annotations

@@ -1,25 +1,24 @@
-"""Certified trajectories for both oscillator systems, one stepper each.
+"""Certified trajectories for both oscillator systems, from one stepper.
 
-* The inertial system (m > 0) takes exponential collocation: each step
-  solves the velocity relaxation exactly and models the coupling by the
-  degree-6 polynomial through its values at the step's Chebyshev-Lobatto
-  nodes, found by simplified Newton; the ODE defect at the midpoints between
-  the nodes controls the step, so past the O(m) layer steps follow the
-  first-order flow's time scale 1/kappa rather than m.
-* The first-order system (m = 0) takes DOP853, Hairer's explicit
-  Runge-Kutta pair of order 8 with its 7th-order dense output; a step it
-  accepts must also pass a check of the ODE defect of its own dense output
-  at three points of the cell.
+Exponential collocation steps both: each step solves the velocity relaxation
+exactly and models the coupling by the degree-6 polynomial through its values
+at the step's Chebyshev-Lobatto nodes, found by simplified Newton; the ODE
+defect at the midpoints between the nodes controls the step, so past the O(m)
+layer steps follow the first-order flow's time scale 1/kappa rather than m.
+The first-order system (m = 0) is the limit m -> 0 of the same formulas,
+taken in the relaxation's weights alone (`_scaled_moments`): there the step
+is classical collocation at the same nodes, a method of Lobatto IIIA type
+(Hairer & Wanner, Solving ODEs II, IV.5), and omega is slaved to
+nu + c(theta).
 
-In both, error control and the remaining span alone set the step: the first
-attempt spans the whole horizon and rejections shrink it.
+Error control and the remaining span alone set the step: the first attempt
+spans the whole horizon and rejections shrink it.
 
 Every inertial trajectory is certified on construction: the residual of the
-velocity integral representation must stay below 50 * tol.  It is certified
-by a bound on that residual from the ODE defect of the dense output, sampled
-per cell (`model._defect_bound`), so its cost follows the cells rather than
-horizon/m; where that bound cannot prove the gate, the residual itself,
-taken at most m/10 apart (`model.duhamel_residual_grid`), decides.
+velocity integral representation must stay below 50 * tol.  A bound on that
+residual from the ODE defect of the dense output, sampled per cell
+(`model._defect_bound`), certifies it, so its cost follows the cells rather
+than horizon/m; a run whose bound does not prove the gate raises.
 """
 
 from __future__ import annotations
@@ -45,110 +44,13 @@ __all__ = [
 
 MAX_JET_ORDER = 12
 CERTIFICATION_FACTOR = 50.0
-STEP_SAFETY = 0.3  # steppers target this fraction of the requested tol
+STEP_SAFETY = 0.3  # the stepper targets this fraction of the requested tol
 
 
 class IntegrationError(RuntimeError):
     """Raised when step control or certification cannot meet the tolerance."""
 
 
-def _sparse_rows(rows) -> np.ndarray:
-    """A (len(rows), 16) matrix from one {stage: weight} dict per row."""
-    out = np.zeros((len(rows), 16))
-    for i, row in enumerate(rows):
-        out[i, list(row)] = list(row.values())
-    return out
-
-
-# DOP853 (Hairer, Norsett & Wanner, Solving ODEs I, 2nd ed., II.10): 12
-# stages, a 13th that is f(y_new) (FSAL), and three more, taken on accepted
-# steps only, for the 7th-order dense output.  The system is autonomous, so
-# the nodes c_i = sum_j a_ij are not needed.
-_A = np.vstack([np.zeros(16), _sparse_rows([
-    {0: 0.05260015195876773},
-    {0: 0.0197250569845379, 1: 0.0591751709536137},
-    {0: 0.02958758547680685, 2: 0.08876275643042054},
-    {0: 0.2413651341592667, 2: -0.8845494793282861, 3: 0.924834003261792},
-    {0: 0.037037037037037035, 3: 0.17082860872947386, 4: 0.12546768756682242},
-    {0: 0.037109375, 3: 0.17025221101954405, 4: 0.06021653898045596, 5: -0.017578125},
-    {0: 0.03709200011850479, 3: 0.17038392571223998, 4: 0.10726203044637328,
-     5: -0.015319437748624402, 6: 0.008273789163814023},
-    {0: 0.6241109587160757, 3: -3.3608926294469414, 4: -0.868219346841726,
-     5: 27.59209969944671, 6: 20.154067550477894, 7: -43.48988418106996},
-    {0: 0.47766253643826434, 3: -2.4881146199716677, 4: -0.590290826836843,
-     5: 21.230051448181193, 6: 15.279233632882423, 7: -33.28821096898486,
-     8: -0.020331201708508627},
-    {0: -0.9371424300859873, 3: 5.186372428844064, 4: 1.0914373489967295,
-     5: -8.149787010746927, 6: -18.52006565999696, 7: 22.739487099350505,
-     8: 2.4936055526796523, 9: -3.0467644718982196},
-    {0: 2.273310147516538, 3: -10.53449546673725, 4: -2.0008720582248625,
-     5: -17.9589318631188, 6: 27.94888452941996, 7: -2.8589982771350235,
-     8: -8.87285693353063, 9: 12.360567175794303, 10: 0.6433927460157636},
-    {0: 0.054293734116568765, 5: 4.450312892752409, 6: 1.8915178993145003,
-     7: -5.801203960010585, 8: 0.3111643669578199, 9: -0.1521609496625161,
-     10: 0.20136540080403034, 11: 0.04471061572777259},
-    {0: 0.056167502283047954, 6: 0.25350021021662483, 7: -0.2462390374708025,
-     8: -0.12419142326381637, 9: 0.15329179827876568, 10: 0.00820105229563469,
-     11: 0.007567897660545699, 12: -0.008298},
-    {0: 0.03183464816350214, 5: 0.028300909672366776, 6: 0.053541988307438566,
-     7: -0.05492374857139099, 10: -0.00010834732869724932,
-     11: 0.0003825710908356584, 12: -0.00034046500868740456, 13: 0.1413124436746325},
-    {0: -0.42889630158379194, 5: -4.697621415361164, 6: 7.683421196062599,
-     7: 4.06898981839711, 8: 0.3567271874552811, 12: -0.0013990241651590145,
-     13: 2.9475147891527724, 14: -9.15095847217987},
-])])
-_B = _A[12, :12]  # stage 13 is f(y_new), so its weights are the solution weights
-# Weights of the embedded 5th- and 3rd-order error estimates.
-_E5 = _sparse_rows([
-    {0: 0.01312004499419488, 5: -1.2251564463762044, 6: -0.4957589496572502,
-     7: 1.6643771824549864, 8: -0.35032884874997366, 9: 0.3341791187130175,
-     10: 0.08192320648511571, 11: -0.022355307863886294},
-])[0, :12]
-_E3 = _B - _sparse_rows([
-    {0: 0.2440944881889764, 8: 0.7338466882816118, 11: 0.022058823529411766},
-])[0, :12]
-# Hairer's dense output y0 + x (F0 + (1-x) (F1 + x (F2 + (1-x) (F3 + ...)))),
-# x = (t - t0)/h, with F_j = h * (row j of _NESTED) . K over the 16 stages:
-# F0 = y_new - y0, F1 = h f0 - F0, F2 = 2 F0 - h (f0 + f_new), F3..F6 from D.
-_NESTED = np.vstack([
-    _A[12],
-    np.eye(16)[0] - _A[12],
-    2.0 * _A[12] - np.eye(16)[0] - np.eye(16)[12],
-    _sparse_rows([
-        {0: -8.428938276109013, 5: 0.5667149535193777, 6: -3.0689499459498917,
-         7: 2.38466765651207, 8: 2.117034582445028, 9: -0.871391583777973,
-         10: 2.2404374302607883, 11: 0.6315787787694688, 12: -0.08899033645133331,
-         13: 18.148505520854727, 14: -9.194632392478356, 15: -4.436036387594894},
-        {0: 10.427508642579134, 5: 242.28349177525817, 6: 165.20045171727028,
-         7: -374.5467547226902, 8: -22.113666853125306, 9: 7.733432668472264,
-         10: -30.674084731089398, 11: -9.332130526430229, 12: 15.697238121770845,
-         13: -31.139403219565178, 14: -9.35292435884448, 15: 35.81684148639408},
-        {0: 19.985053242002433, 5: -387.0373087493518, 6: -189.17813819516758,
-         7: 527.8081592054236, 8: -11.57390253995963, 9: 6.8812326946963,
-         10: -1.0006050966910838, 11: 0.7777137798053443, 12: -2.778205752353508,
-         13: -60.19669523126412, 14: 84.32040550667716, 15: 11.99229113618279},
-        {0: -25.69393346270375, 5: -154.18974869023643, 6: -231.5293791760455,
-         7: 357.6391179106141, 8: 93.40532418362432, 9: -37.45832313645163,
-         10: 104.0996495089623, 11: 29.8402934266605, 12: -43.53345659001114,
-         13: 96.32455395918828, 14: -39.17726167561544, 15: -149.72683625798564},
-    ]),
-])
-# Row p - 1 gives the coefficient of x^p (p = 1..7) of the nested form in F.
-_MONOMIALS = np.array([
-    [1, 1, 0, 0, 0, 0, 0],
-    [0, -1, 1, 1, 0, 0, 0],
-    [0, 0, -1, -2, 1, 1, 0],
-    [0, 0, 0, 1, -2, -3, 1],
-    [0, 0, 0, 0, 1, 3, -3],
-    [0, 0, 0, 0, 0, -1, 3],
-    [0, 0, 0, 0, 0, 0, -1],
-], dtype=float)
-_DENSE = _MONOMIALS @ _NESTED  # dense monomial coefficients = h * _DENSE @ K
-# Where an accepted step reads the ODE defect of its own dense output: the
-# interpolant's defect changes sign near the midpoint, so one point misses it.
-_DEFECT_X = np.array([0.35, 0.7, 0.95])
-_DEFECT_VALUE = _DEFECT_X[:, None] ** np.arange(1, 8)  # x^p
-_DEFECT_SLOPE = np.arange(1, 8) * _DEFECT_X[:, None] ** np.arange(7)  # p x^(p-1)
 _DEFECT_FACTOR = 3.0  # a step's sampled defect must stay below this times its tol
 # The exp stepper's rounding floor on its sampled defect, per unit of kappa,
 # which bounds the coupling it fits: at tol near 1e-13 the check would
@@ -191,38 +93,6 @@ def _cell_index(t0s, ts, cells):
     return np.clip(np.searchsorted(t0s, ts, side="right") - 1, 0, len(t0s) - 1)
 
 
-class _PolyDense:
-    """Per-step degree-7 polynomials y0 + sum_p c_p x^p, x = (t - t0)/h."""
-
-    def __init__(self, t0s, hs, y0s, coefs):
-        self.t0s = np.asarray(t0s)
-        self.hs = np.asarray(hs)
-        self.y0s = np.asarray(y0s)
-        self.coefs = np.asarray(coefs)  # (S, 7, dim); [:, p - 1] multiplies x^p
-
-    def eval(self, ts: np.ndarray, cells=None, *, with_rate=False):
-        """y at `ts`, and with `with_rate` also dy/dt.
-
-        Horner's scheme gathers one coefficient row per query at a time, so
-        no (Q, 7, dim) block is formed.
-        """
-        ts = np.asarray(ts, dtype=float)
-        idx = _cell_index(self.t0s, ts, cells)
-        h = self.hs[idx]
-        x = ((ts - self.t0s[idx]) / h)[:, None]
-        c = self.coefs
-        y = c[idx, 6]
-        for p in range(5, -1, -1):
-            y = y * x + c[idx, p]
-        y = self.y0s[idx] + x * y
-        if not with_rate:
-            return y
-        dy = 7.0 * c[idx, 6]
-        for p in range(5, -1, -1):
-            dy = dy * x + (p + 1) * c[idx, p]
-        return y, dy / h[:, None]
-
-
 class _ExpDense:
     """Per-step exponential collocation cells: the relaxation solved exactly
     under a degree-_DEGREE coupling model g(s) = sum_p coefs[p] (s/h)^p."""
@@ -238,20 +108,24 @@ class _ExpDense:
     def eval_both(self, ts: np.ndarray, cells=None, *, with_rate=False):
         """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m.
 
-        One coefficient row per query is gathered at a time, so no
-        (Q, _DEGREE + 1, n) block is formed.
+        At m = 0 omega is g itself, so omega' is g'.  One coefficient row per
+        query is gathered at a time, so no (Q, _DEGREE + 1, n) block is formed.
         """
         ts = np.asarray(ts, dtype=float)
         idx = _cell_index(self.t0s, ts, cells)
         s = ts - self.t0s[idx]
         h = self.hs[idx]
-        mom, jom = _scaled_moments(s, h, self.m)
         rows = (self.coefs[idx, p] for p in range(_DEGREE + 1))
-        decay = np.exp(-s / self.m)
-        theta, omega = _relax(self.m, self.theta0[idx], self.omega0[idx], rows, decay, mom, jom)
+        weights = _scaled_moments(s, h, self.m)
+        theta, omega = _relax(self.theta0[idx], self.omega0[idx], rows, weights)
         if not with_rate:
             return theta, omega
         x = (s / h)[:, None]
+        if self.m == 0.0:
+            dg = _DEGREE * self.coefs[idx, _DEGREE]
+            for p in range(_DEGREE - 1, 0, -1):
+                dg = dg * x + p * self.coefs[idx, p]
+            return theta, omega, dg / h[:, None]
         g = self.coefs[idx, _DEGREE]
         for p in range(_DEGREE - 1, -1, -1):
             g = g * x + self.coefs[idx, p]
@@ -262,9 +136,8 @@ class _ExpDense:
 class Trajectory:
     """Time grid, per-grid states, and dense output over [0, horizon].
 
-    `duhamel_sup` (None for m = 0) is what certified the trajectory against
-    the 50 * tol gate: the defect bound on the velocity residual, or the
-    largest residual itself where the bound could not prove the gate.
+    `duhamel_sup` (None for m = 0) is the defect bound on the velocity
+    residual that certified the trajectory against the 50 * tol gate.
     """
 
     params: SystemParams
@@ -274,7 +147,7 @@ class Trajectory:
     tol: float
     method: str
     duhamel_sup: float | None
-    _dense: object = field(repr=False)
+    _dense: _ExpDense = field(repr=False)
 
     @property
     def horizon(self) -> float:
@@ -292,11 +165,7 @@ class Trajectory:
         Each time is read in the grid cell that starts at or before it, or in
         the cell `cells` names, so that a cell can be read at its right end.
         """
-        ts = self._queries(ts)
-        if self.method == "exp":
-            return self._dense.eval_both(ts, cells)
-        y = self._dense.eval(ts, cells)
-        return y, rhs_first_order(self.params, y)
+        return self._dense.eval_both(self._queries(ts), cells)
 
     def eval_rate(self, ts, cells=None) -> np.ndarray:
         """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
@@ -304,117 +173,49 @@ class Trajectory:
 
     def eval_with_rate(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """eval_many and eval_rate together, from one read of the cells."""
-        ts = self._queries(ts)
-        if self.method == "exp":
-            return self._dense.eval_both(ts, cells, with_rate=True)
-        y, dy = self._dense.eval(ts, cells, with_rate=True)
-        # m = 0: omega = nu + c(theta), so omega' is the coupling's rate along theta'
-        g, dg = _model.coupling_and_rate(self.params, y, dy)
-        return y, self.params.nat_freq + g, dg
+        return self._dense.eval_both(self._queries(ts), cells, with_rate=True)
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
         return PhaseState(float(t), th[0], om[0])
 
 
-def _integrate_dop853(params, theta0, horizon, tol, max_steps):
-    """DOP853 loop for the first-order system, with 7th-order dense output.
-
-    The error is Hairer's blend of the 5th- and 3rd-order estimates in the
-    max norm.  A step that passes the error test must also pass a check of
-    the defect theta' - nu - c(theta) of its own dense output at _DEFECT_X,
-    scaled like the local error.  The next step follows the error as
-    err^(-1/8) and the defect as its 1/7th power.
-    """
-    y = np.array(theta0)
-    t = 0.0
-    h = horizon
-    k = np.empty((16, y.shape[0]))
-    k[0] = rhs_first_order(params, y)
-
-    grid = [0.0]
-    ys = [y.copy()]
-    t0s: list[float] = []
-    hs: list[float] = []
-    y0s: list[np.ndarray] = []
-    coefs: list[np.ndarray] = []
-
-    steps = 0
-    while t < horizon - 1e-14 * max(1.0, horizon):
-        if steps >= max_steps:
-            raise IntegrationError(
-                f"step budget exhausted at t={t:.6g} (h={h:.3g}, tol={tol:.1g})"
-            )
-        steps += 1
-        h = min(h, horizon - t)
-        for i in range(1, 12):
-            k[i] = rhs_first_order(params, y + h * (_A[i, :i] @ k[:i]))
-        y_new = y + h * (_B @ k[:12])
-        k[12] = rhs_first_order(params, y_new)
-        size = 1.0 + np.maximum(np.abs(y), np.abs(y_new))  # the error scale is tol * size
-        err5 = float(np.max(np.abs(_E5 @ k[:12]) / size)) / tol
-        err3 = float(np.max(np.abs(_E3 @ k[:12]) / size)) / tol
-        denom = err5 * err5 + 0.01 * err3 * err3
-        err = 0.0 if denom == 0.0 else h * err5 * err5 / math.sqrt(denom)
-        accept = err <= 1.0  # a NaN rejects too
-        if accept:
-            for i in range(13, 16):
-                k[i] = rhs_first_order(params, y + h * (_A[i, :i] @ k[:i]))
-            # the rows of _DENSE sum to (1, 0, ..., 0): weighing k - k[0] keeps
-            # the large weights from amplifying the rounding of k itself
-            coef = h * (_DENSE @ (k - k[0]))
-            coef[0] += h * k[0]
-            y_chk = y + _DEFECT_VALUE @ coef
-            rate = (_DEFECT_SLOPE @ coef) / h
-            delta = h * (rate - rhs_first_order(params, y_chk)) / size
-            defect = float(np.max(np.abs(delta))) / (_DEFECT_FACTOR * tol)
-            accept = defect <= 1.0
-        if accept:
-            t0s.append(t)
-            hs.append(h)
-            y0s.append(y)
-            coefs.append(coef)
-            t += h
-            y = y_new
-            k[0] = k[12]
-            grid.append(t)
-            ys.append(y)
-            grow = min((err + 1e-16) ** -0.125, (defect + 1e-16) ** (-1.0 / 7.0))
-            h *= min(5.0, max(0.2, 0.9 * grow))
-        else:
-            shrink = err**-0.125 if not err <= 1.0 else defect ** (-1.0 / 7.0)
-            h *= max(0.2, 0.9 * shrink)
-            if h < 1e-15 * max(1.0, horizon):
-                raise IntegrationError("step size underflow; tolerance unachievable")
-
-    theta_g = np.asarray(ys)
-    dense = _PolyDense(t0s, hs, y0s, coefs)
-    return np.asarray(grid), theta_g, rhs_first_order(params, theta_g), dense
-
-
 def _scaled_moments(s, h, m):
-    """The relaxation moments of (u/h)^p at offsets s, M_p(s)/h^p and J_p(s)/h^p.
+    """The relaxation's weights at offsets s into cells of width h, for `_relax`.
 
-    Two (_DEGREE + 1, Q) arrays; `h` is a scalar or one width per offset.
+    Returns e^{-s/m} and M_0(s) (Q,), and the moments of (u/h)^p,
+    M_p(s)/(m h^p) and J_p(s)/h^p, (_DEGREE + 1, Q) each; `h` is a scalar or
+    one width per offset.  At m = 0 they are the limits m -> 0 for s > 0,
+    where the layer has no width: e^{-s/m} -> 0, M_0 -> 0, M_p/m -> s^p and
+    J_p -> s^(p+1)/(p+1).  They hold at s = 0 too, as omega0 is slaved to
+    g(0) = nu + c(theta0): omega0 drops out, omega is the coupling model g on
+    the closed cell, and the step is classical collocation at the same nodes.
     """
+    s = np.asarray(s, dtype=float)
+    if m == 0.0:
+        rate = (s / h) ** np.arange(_DEGREE + 1.0)[:, None]
+        zero = np.zeros_like(s)
+        return zero, zero, rate, rate * s / np.arange(1.0, _DEGREE + 2.0)[:, None]
     mom, jom = one_sided_moments(s, m, _DEGREE)
     scale = np.asarray(h, dtype=float) ** -np.arange(_DEGREE + 1.0)[:, None]
-    return np.asarray(mom) * scale, np.asarray(jom) * scale
+    mom = np.asarray(mom) * scale
+    return np.exp(-s / m), mom[0], mom / m, np.asarray(jom) * scale
 
 
-def _relax(m, theta0, omega0, coefs, decay, mom, jom):
+def _relax(theta0, omega0, coefs, weights):
     """theta and omega at offsets s into a cell under the coupling model sum_p coefs[p] (u/h)^p.
 
-    theta(s) = theta0 + m (1 - e^{-s/m}) omega0 + sum_p coefs[p] J_p(s)/h^p,
+    theta(s) = theta0 + M_0(s) omega0 + sum_p coefs[p] J_p(s)/h^p,
     omega(s) = omega0 e^{-s/m} + sum_p coefs[p] M_p(s)/(m h^p);
-    `decay` is e^{-s/m} (Q,), `mom` and `jom` come from `_scaled_moments`, and
-    `coefs` yields one row per order that broadcasts against (Q, n).
+    `weights` come from `_scaled_moments`, and `coefs` yields one row per
+    order that broadcasts against (Q, n).
     """
-    theta = theta0 + mom[0][:, None] * omega0  # M_0(s) = m (1 - e^{-s/m})
+    decay, mom0, rate, jom = weights
+    theta = theta0 + mom0[:, None] * omega0  # M_0(s) = m (1 - e^{-s/m})
     omega = omega0 * decay[:, None]
     for p, row in enumerate(coefs):
         theta = theta + jom[p][:, None] * row
-        omega = omega + (mom[p] / m)[:, None] * row
+        omega = omega + rate[p][:, None] * row
     return theta, omega
 
 
@@ -431,14 +232,12 @@ class _Collocation:
     """
 
     def __init__(self, params, theta0, omega0, h):
-        m = params.inertia_m
-        mom, jom = _scaled_moments(_STEP_X * h, h, m)
-        self.mom, self.jom = mom, jom
-        self.decay = np.exp(-_STEP_X * h / m)
+        self.weights = _scaled_moments(_STEP_X * h, h, params.inertia_m)
+        _, mom0, _, jom = self.weights
         lag = jom[:, _DEGREE:].T @ _VINV  # theta at the nodes is linear in the node values
         self.w0, self.w = lag[:, 0], lag[:, 1:]
         nodes = slice(_DEGREE, None)
-        self.base = theta0 + mom[0, nodes, None] * omega0 + jom[0, nodes, None] * params.nat_freq
+        self.base = theta0 + mom0[nodes, None] * omega0 + jom[0, nodes, None] * params.nat_freq
         scale = params.coupling_kappa / params.n
         pmat = np.column_stack([np.cos(theta0), np.sin(theta0)])
         d = pmat @ pmat.sum(axis=0)
@@ -497,8 +296,7 @@ def _collocate(params, theta, omega, g0, h, prev, limit):
     coef_c[0] += g0
     coef = coef_c.copy()
     coef[0] += params.nat_freq
-    th, om = _relax(params.inertia_m, theta, omega, coef,
-                    col.decay[_CHECK], col.mom[:, _CHECK], col.jom[:, _CHECK])
+    th, om = _relax(theta, omega, coef, [w[..., _CHECK] for w in col.weights])
     c = _model.coupling_term(params, th)  # at the midpoints and the step end
     defect = float(np.max(np.abs(_MID_POWERS @ coef_c - c[:-1]))) / limit
     return defect, iterations, coef_c, coef, th[-1], om[-1], c[-1]
@@ -517,7 +315,8 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
     the nodes, the quantity `model._defect_bound` reads, stays below
     _DEFECT_FACTOR * tol plus a rounding floor; the next step follows that
     defect as its 1/(q + 1)th power.  A Newton iteration that does not
-    converge halves the step.
+    converge halves the step.  At m = 0 the weights of `_scaled_moments` make
+    this classical collocation, and the defect theta' - nu - c(theta).
     """
     limit = _DEFECT_FACTOR * tol + _DEFECT_NOISE * params.coupling_kappa
     t = 0.0
@@ -575,13 +374,11 @@ def integrate(
 ) -> Trajectory:
     """Integrate either system over [0, horizon] with local tolerance tol.
 
-    m > 0 takes the exp stepper and m = 0 takes DOP853, which the method
-    label records.  For m = 0 the initial omega is ignored and recomputed
-    from the phase configuration.  Inertial trajectories are certified
-    against the velocity integral representation (sup residual must be
-    <= 50 * tol) by the defect bound of `model._defect_bound` where it proves
-    that, and by the residual itself, `model.duhamel_residual_grid`, where
-    it does not.
+    Both take the exp stepper.  At m = 0 omega is slaved to the phases,
+    nu + c(theta), so the initial omega is ignored.  Inertial trajectories
+    are certified against the velocity integral representation: the defect
+    bound of `model._defect_bound` must prove its sup residual <= 50 * tol,
+    or IntegrationError is raised.
     """
     if not (math.isfinite(horizon) and horizon > 1e-14):
         raise ValueError("horizon must be finite and longer than 1e-14")
@@ -593,24 +390,25 @@ def integrate(
         raise ValueError("initial state must be stamped t = 0")
 
     theta0 = np.array(init.theta, dtype=float)
+    slaved = not params.is_inertial
+    omega0 = rhs_first_order(params, theta0) if slaved else np.array(init.omega, dtype=float)
     step_tol = STEP_SAFETY * tol
     # Overflow and NaN raise no numpy warning here: they end in a rejected
-    # step, a step-size underflow or a residual that fails the gate below.
+    # step, a step-size underflow or a bound that fails the gate below.
     with np.errstate(all="ignore"):
-        if not params.is_inertial:
-            grid, th, om, dense = _integrate_dop853(params, theta0, horizon, step_tol, max_steps)
-            return Trajectory(params, grid, th, om, tol, "dop853", None, dense)
-        omega0 = np.array(init.omega, dtype=float)
         grid, th, om, dense = _integrate_exp(params, theta0, omega0, horizon, step_tol, max_steps)
-        gate = CERTIFICATION_FACTOR * tol
-        traj = Trajectory(params, grid, th, om, tol, "exp", None, dense)
-        bound = _model._defect_bound(params, traj, gate)
-        if bound is not None and bound.max() <= gate:
-            sup = float(bound.max())
+        sup = None
+        if slaved:
+            om = rhs_first_order(params, th)  # what the dense output reads at each cell start
         else:
-            sup = float(np.max(np.abs(_model.duhamel_residual_grid(params, traj))))
-        if not sup <= gate:  # a NaN residual fails too
-            raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
+            gate = CERTIFICATION_FACTOR * tol
+            traj = Trajectory(params, grid, th, om, tol, "exp", None, dense)
+            bound = _model._defect_bound(params, traj, gate)
+            if bound is None:
+                raise IntegrationError("certification failed: defect bound unresolved")
+            sup = float(bound.max())
+            if not sup <= gate:  # a NaN bound fails too
+                raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
     return Trajectory(params, grid, th, om, tol, "exp", sup, dense)
 
 

@@ -22,8 +22,8 @@ import numpy as np
 
 from ._kernels import relaxation_chain, relaxation_convolution
 
-# Sub-nodes times oscillators per chunk of the velocity certificate; it bounds
-# the certifier's arrays whatever horizon/m.
+# Nodes times oscillators per chunk of the defect bound and of the exact
+# residual; it bounds their arrays whatever horizon/m.
 _CHUNK_ENTRIES = 1 << 16
 # First and last level L of the defect bound's 2^L + 1 even nodes per cell.
 _DEFECT_LEVELS = (3, 8)

@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from synclab import model
 from synclab.experiments import ScenarioConfig, _sync_scenario
-from synclab.integrate import integrate, taylor_jet
+from synclab.integrate import IntegrationError, integrate, taylor_jet
 from synclab.model import (
     GalileanShift,
     PhaseState,
@@ -362,30 +362,20 @@ def test_defect_bound_is_chunk_invariant(monkeypatch):
         assert np.allclose(chunked, default, rtol=1e-12, atol=0.0)
 
 
-def _exact_only(monkeypatch, bound):
-    monkeypatch.setattr(model, "_defect_bound", lambda params, traj, gate: bound(traj))
+@pytest.mark.parametrize("miss", ["above_gate", "unresolved", "level_cap"])
+def test_certificate_raises_when_the_bound_does_not_prove_the_gate(monkeypatch, miss):
+    # the defect bound is the only certificate: no exact residual stands in
+    # for a bound that misses the gate or stays unresolved
+    def above_gate(params, traj, gate):
+        return np.ones((len(traj.grid), params.n))
 
-
-def _check_falls_back(monkeypatch, fallback, m):
-    if fallback == "above_gate":
-        _exact_only(monkeypatch, lambda traj: np.ones((len(traj.grid), traj.params.n)))
-    elif fallback == "unresolved":
-        _exact_only(monkeypatch, lambda traj: None)
-    else:  # no level to refine to: every cell is unresolved
+    if miss == "level_cap":  # no level to refine to: every cell is unresolved
         monkeypatch.setattr(model, "_DEFECT_LEVELS", (3, 3))
-    p, traj = _certified_run(m)
-    exact = float(np.max(np.abs(duhamel_residual_grid(p, traj))))
-    assert traj.duhamel_sup == exact <= 50 * traj.tol
-
-
-@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
-def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
-    _check_falls_back(monkeypatch, fallback, 1e-3)
-
-
-@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
-def test_dop853_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
-    _check_falls_back(monkeypatch, fallback, 0.3)
+    else:
+        monkeypatch.setattr(model, "_defect_bound", above_gate if miss == "above_gate" else lambda *_: None)
+    for m in (1e-3, 0.3):
+        with pytest.raises(IntegrationError, match="certification failed"):
+            _certified_run(m)
 
 
 def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypatch):
