@@ -362,20 +362,34 @@ def test_defect_bound_is_chunk_invariant(monkeypatch):
         assert np.allclose(chunked, default, rtol=1e-12, atol=0.0)
 
 
-@pytest.mark.parametrize("miss", ["above_gate", "unresolved", "level_cap"])
-def test_certificate_raises_when_the_bound_does_not_prove_the_gate(monkeypatch, miss):
-    # the defect bound is the only certificate: no exact residual stands in
-    # for a bound that misses the gate or stays unresolved
+def _check_falls_back(monkeypatch, fallback, m):
+    # the defect bound is the only certificate integrate takes: a bound that
+    # misses the gate or stays unresolved raises, and the exact residual
+    # (model.duhamel_residual_grid) is left to the caller as the fallback
+    # oracle; on these runs it proves the gate the bound was kept from proving
     def above_gate(params, traj, gate):
         return np.ones((len(traj.grid), params.n))
 
-    if miss == "level_cap":  # no level to refine to: every cell is unresolved
-        monkeypatch.setattr(model, "_DEFECT_LEVELS", (3, 3))
-    else:
-        monkeypatch.setattr(model, "_defect_bound", above_gate if miss == "above_gate" else lambda *_: None)
-    for m in (1e-3, 0.3):
+    with monkeypatch.context() as patch:
+        if fallback == "level_cap":  # no level to refine to: every cell is unresolved
+            patch.setattr(model, "_DEFECT_LEVELS", (3, 3))
+        else:
+            patch.setattr(model, "_defect_bound", above_gate if fallback == "above_gate" else lambda *_: None)
         with pytest.raises(IntegrationError, match="certification failed"):
             _certified_run(m)
+    p, traj = _certified_run(m)
+    exact = float(np.max(np.abs(duhamel_residual_grid(p, traj))))
+    assert exact <= 50 * traj.tol
+
+
+@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
+def test_exp_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
+    _check_falls_back(monkeypatch, fallback, 1e-3)
+
+
+@pytest.mark.parametrize("fallback", ["above_gate", "unresolved", "level_cap"])
+def test_dop853_certificate_falls_back_to_the_exact_residual(monkeypatch, fallback):
+    _check_falls_back(monkeypatch, fallback, 0.3)
 
 
 def test_exp_certificate_skips_the_exact_residual_when_the_bound_holds(monkeypatch):
