@@ -9,14 +9,18 @@ with a polynomial factor u^p coming from a local polynomial model of the
 smooth (non-stiff) part of the integrand.  Computing these moments in closed
 form keeps the quadrature error independent of the stiffness ratio s/m.
 
-Up to order 6 they are the exp stepper's phi-functions: the relaxation solved
-exactly under its degree-6 coupling model.  At m = 0 the stepper takes their
-limits, M_p/m -> s^p and J_p -> s^(p+1)/(p+1), without these kernels.
-`relaxation_convolution` chains them into the convolution of the kernel with
-a piecewise cubic Hermite model, the one integral behind both the exact
-velocity residual and the velocity reconstruction map; `relaxation_chain` is
-the node-to-node recurrence under it, which also carries the defect bound,
-the velocity certificate, from cell to cell.
+`relaxation_weights` is the one entry point: taken against the powers of
+u/h in a cell of width h, the moments are the phi-functions of Hochbruck &
+Ostermann (Acta Numerica 19, 2010).  They weigh the exp stepper's degree-6
+coupling model and, at degree 3, the cubic Hermite model of
+`hermite_cell_integrals`; at m = 0 they are their limits m -> 0,
+M_p/m -> s^p and J_p -> s^(p+1)/(p+1), which make the stepper classical
+collocation.  `relaxation_convolution` chains the Hermite cells into 1/m
+times the convolution of the kernel with a piecewise cubic Hermite model,
+the one integral behind both the exact velocity residual and the velocity
+reconstruction map; `relaxation_chain` is the node-to-node recurrence under
+it, which also carries the defect bound, the velocity certificate, from cell
+to cell.
 """
 
 from __future__ import annotations
@@ -46,34 +50,38 @@ _COEF = np.array([
 _CHAIN_SPAN = 100.0  # kernel widths per block of relaxation_convolution
 
 
-def _flat(sigma):
-    s = np.asarray(sigma, dtype=float)
-    return s.reshape(-1), s.shape
+def relaxation_weights(s, h, m: float, degree: int):
+    """e^{-s/m} and M_0(s) (Q,), and M_p(s)/(m h^p) and J_p(s)/h^p, (degree + 1, Q).
 
-
-def _moments_flat(s: np.ndarray, m: float, pmax: int, with_j: bool):
-    """[M_0..M_pmax] and, with `with_j`, [J_0..J_pmax] (else None) at the flat s.
-
-    The series of every order come from one Horner pass over the entries
-    below the highest switch in use; the switches rise with the order.
+    s (Q,) are offsets into cells of width h, a scalar or one per offset.
+    Above an order's switch in z = s/m the moments come from the recurrence
+    M_p = m (s^p - p M_{p-1}), below it from the series, whose orders share
+    one Horner pass.  At m = 0 they are the limits m -> 0 for s > 0:
+    e^{-s/m} -> 0, M_0 -> 0, M_p/m -> s^p and J_p -> s^(p+1)/(p+1), and at
+    s = 0 too, as the cell-start omega they drop is slaved to the model there.
     """
-    if not 0 <= pmax <= _MAX_ORDER:
+    if not 0 <= degree <= _MAX_ORDER:
         raise ValueError(f"moment order must lie in 0..{_MAX_ORDER}")
+    s = np.asarray(s, dtype=float)
+    if m == 0.0:
+        rate = (s / h) ** np.arange(degree + 1.0)[:, None]
+        zero = np.zeros_like(s)
+        return zero, zero, rate, rate * s / np.arange(1.0, degree + 2.0)[:, None]
     z = s / m
     mom = [-m * np.expm1(-z)]
     # far below an order's switch its recurrence can overflow, as the rounding
     # of M_0 grows by m per order; the series below replaces those entries
     with np.errstate(over="ignore"):
-        for p in range(1, pmax + 1):
+        for p in range(1, degree + 1):
             mom.append(m * (s**p - p * mom[-1]))
-    jom = [s ** (p + 1) / (p + 1) - mom[p] for p in range(pmax + 1)] if with_j else None
-    below = z < (_SWITCH_J if with_j else _SWITCH_M)[pmax]
+    jom = [s ** (p + 1) / (p + 1) - mom[p] for p in range(degree + 1)]
+    below = z < _SWITCH_J[degree]
     if below.any():
         small = slice(None) if below.all() else np.flatnonzero(below)
         zs, lead = z[small], s[small]
         # the orders whose switch some entry lies below
-        orders = [p for p in range(pmax + 1) if zs.min() < _SWITCH_M[p]]
-        orders_j = [p for p in range(pmax + 1) if with_j and zs.min() < _SWITCH_J[p]]
+        orders = [p for p in range(degree + 1) if zs.min() < _SWITCH_M[p]]
+        orders_j = [p for p in range(degree + 1) if zs.min() < _SWITCH_J[p]]
         cols = np.array(orders + [_MAX_ORDER + 1 + p for p in orders_j], dtype=int)
         acc, neg = _COEF[-1, cols, None], -zs
         for row in _COEF[-2::-1, cols, None]:
@@ -84,54 +92,29 @@ def _moments_flat(s: np.ndarray, m: float, pmax: int, with_j: bool):
         for k, p in enumerate(orders_j, start=len(orders)):
             series = lead ** (p + 1) * zs * acc[k]
             jom[p][small] = np.where(zs < _SWITCH_J[p], series, jom[p][small])
-    return mom, jom
-
-
-def exp_moments(sigma, m: float, pmax: int):
-    """Return [M_0(sigma), ..., M_pmax(sigma)] for the kernel exp(-(s-u)/m).
-
-    `sigma` may be a scalar or ndarray of nonnegative reals; m > 0, pmax <= 6.
-    Uses the recurrence M_p = m*(sigma^p - p*M_{p-1}) where z = sigma/m lies
-    above the order's switch and the Taylor series on the entries below it.
-    """
-    s, shape = _flat(sigma)
-    return [mp.reshape(shape) for mp in _moments_flat(s, m, pmax, False)[0]]
-
-
-def one_sided_moments(sigma, m: float, pmax: int):
-    """Return ([M_p], [J_p]) with J_p = sigma^(p+1)/(p+1) - M_p, stably.
-
-    J_p also cancels for sigma << m, so it gets its own per-order series
-    branch.
-    """
-    s, shape = _flat(sigma)
-    mom, jom = _moments_flat(s, m, pmax, True)
-    return [mp.reshape(shape) for mp in mom], [jp.reshape(shape) for jp in jom]
+    scale = np.asarray(h, dtype=float) ** -np.arange(degree + 1.0)[:, None]
+    mom = np.asarray(mom) * scale
+    return np.exp(-s / m), mom[0], mom / m, np.asarray(jom) * scale
 
 
 def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):
-    """Integrate exp(-(d-u)/m) * H(u) over [0, d] per cell.
+    """(1/m) int_0^d exp(-(d-u)/m) H(u) du per cell.
 
     H is the cubic Hermite matching values/derivatives (f0, df0) at u=0 and
-    (f1, df1) at u=d.  All of f0, df0, f1, df1 may carry trailing channel
-    axes; `d` is broadcast against them (one length per cell).
-    Returns the integral with the same trailing shape.
+    (f1, df1) at u=d; each is (Q, n), and `d` (Q,) holds one positive length
+    per cell.  In powers of u/d, H has the coefficients f0, d df0,
+    3 D - d (2 df0 + df1) and d (df0 + df1) - 2 D with D = f1 - f0, taken
+    against the weights M_p(d)/(m d^p) of `relaxation_weights`.  Returns (Q, n).
     """
-    d = np.asarray(d, dtype=float)
-    if d.ndim < np.asarray(f0).ndim:
-        dd = d.reshape(d.shape + (1,) * (np.asarray(f0).ndim - d.ndim))
-    else:
-        dd = d
-    c0 = f0
-    c1 = df0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        c2 = (3.0 * (f1 - f0) - dd * (2.0 * df0 + df1)) / dd**2
-        c3 = (-2.0 * (f1 - f0) + dd * (df0 + df1)) / dd**3
-    c2 = np.where(dd > 0, c2, 0.0)
-    c3 = np.where(dd > 0, c3, 0.0)
-    mom = exp_moments(d, m, 3)
-    mom = [np.reshape(mp, dd.shape) for mp in mom]
-    return c0 * mom[0] + c1 * mom[1] + c2 * mom[2] + c3 * mom[3]
+    rate = relaxation_weights(d, d, m, 3)[2][:, :, None]
+    dd = d[:, None]
+    delta = f1 - f0
+    return (
+        rate[0] * f0
+        + rate[1] * (dd * df0)
+        + rate[2] * (3.0 * delta - dd * (2.0 * df0 + df1))
+        + rate[3] * (dd * (df0 + df1) - 2.0 * delta)
+    )
 
 
 def relaxation_chain(nodes, local, m: float) -> np.ndarray:
@@ -159,7 +142,7 @@ def relaxation_chain(nodes, local, m: float) -> np.ndarray:
 
 
 def relaxation_convolution(nodes, values, slopes, m: float) -> np.ndarray:
-    """int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at every node t_e.
+    """(1/m) int_{nodes[0]}^{t_e} exp(-(t_e-u)/m) H(u) du at every node t_e.
 
     H is the piecewise cubic Hermite through (values, slopes), each (Q, n),
     at the increasing `nodes` (Q,).  Each cell's exact integral is chained

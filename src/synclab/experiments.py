@@ -124,6 +124,8 @@ class ScenarioConfig:
         if self.init_mode == "explicit" and self.theta0 is None:
             raise ConfigError("theta0 is required for explicit init")
         if self.init_mode == "bipolar":
+            if self.n1 < 1 or self.n2 < 1:
+                raise ConfigError("bipolar init needs n1 >= 1 and n2 >= 1")
             if self.n1 + self.n2 != self.n:
                 raise ConfigError("bipolar init needs n1 + n2 == n")
             if not (0.0 < self.bipolar_eta < math.pi):

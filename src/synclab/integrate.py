@@ -6,9 +6,9 @@ at the step's Chebyshev-Lobatto nodes, found by simplified Newton; the ODE
 defect at the midpoints between the nodes controls the step, so past the O(m)
 layer steps follow the first-order flow's time scale 1/kappa rather than m.
 The first-order system (m = 0) is the limit m -> 0 of the same formulas,
-taken in the relaxation's weights alone (`_scaled_moments`): there the step
-is classical collocation at the same nodes, a method of Lobatto IIIA type
-(Hairer & Wanner, Solving ODEs II, IV.5), and omega is slaved to
+taken in the relaxation's weights alone (`relaxation_weights`): there the
+step is classical collocation at the same nodes, a method of Lobatto IIIA
+type (Hairer & Wanner, Solving ODEs II, IV.5), and omega is slaved to
 nu + c(theta).
 
 Error control and the remaining span alone set the step: the first attempt
@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 
 from . import model as _model
-from ._kernels import one_sided_moments
+from ._kernels import relaxation_weights
 from .model import PhaseState, SystemParams, rhs_first_order
 
 __all__ = [
@@ -86,56 +86,13 @@ _NEWTON_ITERATIONS = 8
 _NEWTON_GROWTH = 4  # a step that needed more Newton iterations does not grow the next
 
 
-def _cell_index(t0s, ts, cells):
-    """The dense cell of each query: `cells` if given, else the cell starting at or before it."""
-    if cells is not None:
-        return np.asarray(cells)
-    return np.clip(np.searchsorted(t0s, ts, side="right") - 1, 0, len(t0s) - 1)
-
-
-class _ExpDense:
-    """Per-step exponential collocation cells: the relaxation solved exactly
-    under a degree-_DEGREE coupling model g(s) = sum_p coefs[p] (s/h)^p."""
-
-    def __init__(self, m, t0s, hs, theta0, omega0, coefs):
-        self.m = m
-        self.t0s = np.asarray(t0s)
-        self.hs = np.asarray(hs)
-        self.theta0 = np.asarray(theta0)
-        self.omega0 = np.asarray(omega0)
-        self.coefs = np.asarray(coefs)  # (S, _DEGREE + 1, n); nu is in the constant term
-
-    def eval_both(self, ts: np.ndarray, cells=None, *, with_rate=False):
-        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m.
-
-        At m = 0 omega is g itself, so omega' is g'.  One coefficient row per
-        query is gathered at a time, so no (Q, _DEGREE + 1, n) block is formed.
-        """
-        ts = np.asarray(ts, dtype=float)
-        idx = _cell_index(self.t0s, ts, cells)
-        s = ts - self.t0s[idx]
-        h = self.hs[idx]
-        rows = (self.coefs[idx, p] for p in range(_DEGREE + 1))
-        weights = _scaled_moments(s, h, self.m)
-        theta, omega = _relax(self.theta0[idx], self.omega0[idx], rows, weights)
-        if not with_rate:
-            return theta, omega
-        x = (s / h)[:, None]
-        if self.m == 0.0:
-            dg = _DEGREE * self.coefs[idx, _DEGREE]
-            for p in range(_DEGREE - 1, 0, -1):
-                dg = dg * x + p * self.coefs[idx, p]
-            return theta, omega, dg / h[:, None]
-        g = self.coefs[idx, _DEGREE]
-        for p in range(_DEGREE - 1, -1, -1):
-            g = g * x + self.coefs[idx, p]
-        return theta, omega, (g - omega) / self.m
-
-
 @dataclass(frozen=True)
 class Trajectory:
     """Time grid, per-grid states, and dense output over [0, horizon].
 
+    Cell k is one exp step of width _hs[k] from grid[k], theta_grid[k] and
+    omega_grid[k] (of weight 0 at m = 0), under the coupling model
+    g(s) = sum_p _coefs[k, p] (s/h)^p, nu in the constant term.
     `duhamel_sup` (None for m = 0) is the defect bound on the velocity
     residual that certified the trajectory against the 50 * tol gate.
     """
@@ -147,17 +104,12 @@ class Trajectory:
     tol: float
     method: str
     duhamel_sup: float | None
-    _dense: _ExpDense = field(repr=False)
+    _hs: np.ndarray = field(repr=False)
+    _coefs: np.ndarray = field(repr=False)  # (cells, _DEGREE + 1, n)
 
     @property
     def horizon(self) -> float:
         return float(self.grid[-1])
-
-    def _queries(self, ts) -> np.ndarray:
-        ts = np.asarray(ts, dtype=float)
-        if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
-            raise ValueError("query time outside the trajectory span")
-        return ts
 
     def eval_many(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray]:
         """Dense (theta, omega) arrays of shape (len(ts), n).
@@ -165,7 +117,7 @@ class Trajectory:
         Each time is read in the grid cell that starts at or before it, or in
         the cell `cells` names, so that a cell can be read at its right end.
         """
-        return self._dense.eval_both(self._queries(ts), cells)
+        return self._read(ts, cells, with_rate=False)
 
     def eval_rate(self, ts, cells=None) -> np.ndarray:
         """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
@@ -173,33 +125,42 @@ class Trajectory:
 
     def eval_with_rate(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """eval_many and eval_rate together, from one read of the cells."""
-        return self._dense.eval_both(self._queries(ts), cells, with_rate=True)
+        return self._read(ts, cells, with_rate=True)
+
+    def _read(self, ts, cells, *, with_rate):
+        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m.
+
+        At m = 0 omega is g itself, so omega' is g'.  One coefficient row per
+        query is gathered at a time, so no (Q, _DEGREE + 1, n) block is formed.
+        """
+        ts = np.asarray(ts, dtype=float)
+        if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
+            raise ValueError("query time outside the trajectory span")
+        if cells is None:  # the cell starting at or before each query
+            cells = np.searchsorted(self.grid[:-1], ts, side="right") - 1
+            cells = np.clip(cells, 0, len(self._hs) - 1)
+        m = self.params.inertia_m
+        s = ts - self.grid[cells]
+        h = self._hs[cells]
+        rows = (self._coefs[cells, p] for p in range(_DEGREE + 1))
+        weights = relaxation_weights(s, h, m, _DEGREE)
+        theta, omega = _relax(self.theta_grid[cells], self.omega_grid[cells], rows, weights)
+        if not with_rate:
+            return theta, omega
+        x = (s / h)[:, None]
+        if m == 0.0:
+            dg = _DEGREE * self._coefs[cells, _DEGREE]
+            for p in range(_DEGREE - 1, 0, -1):
+                dg = dg * x + p * self._coefs[cells, p]
+            return theta, omega, dg / h[:, None]
+        g = self._coefs[cells, _DEGREE]
+        for p in range(_DEGREE - 1, -1, -1):
+            g = g * x + self._coefs[cells, p]
+        return theta, omega, (g - omega) / m
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
         return PhaseState(float(t), th[0], om[0])
-
-
-def _scaled_moments(s, h, m):
-    """The relaxation's weights at offsets s into cells of width h, for `_relax`.
-
-    Returns e^{-s/m} and M_0(s) (Q,), and the moments of (u/h)^p,
-    M_p(s)/(m h^p) and J_p(s)/h^p, (_DEGREE + 1, Q) each; `h` is a scalar or
-    one width per offset.  At m = 0 they are the limits m -> 0 for s > 0,
-    where the layer has no width: e^{-s/m} -> 0, M_0 -> 0, M_p/m -> s^p and
-    J_p -> s^(p+1)/(p+1).  They hold at s = 0 too, as omega0 is slaved to
-    g(0) = nu + c(theta0): omega0 drops out, omega is the coupling model g on
-    the closed cell, and the step is classical collocation at the same nodes.
-    """
-    s = np.asarray(s, dtype=float)
-    if m == 0.0:
-        rate = (s / h) ** np.arange(_DEGREE + 1.0)[:, None]
-        zero = np.zeros_like(s)
-        return zero, zero, rate, rate * s / np.arange(1.0, _DEGREE + 2.0)[:, None]
-    mom, jom = one_sided_moments(s, m, _DEGREE)
-    scale = np.asarray(h, dtype=float) ** -np.arange(_DEGREE + 1.0)[:, None]
-    mom = np.asarray(mom) * scale
-    return np.exp(-s / m), mom[0], mom / m, np.asarray(jom) * scale
 
 
 def _relax(theta0, omega0, coefs, weights):
@@ -207,7 +168,7 @@ def _relax(theta0, omega0, coefs, weights):
 
     theta(s) = theta0 + M_0(s) omega0 + sum_p coefs[p] J_p(s)/h^p,
     omega(s) = omega0 e^{-s/m} + sum_p coefs[p] M_p(s)/(m h^p);
-    `weights` come from `_scaled_moments`, and `coefs` yields one row per
+    `weights` come from `relaxation_weights`, and `coefs` yields one row per
     order that broadcasts against (Q, n).
     """
     decay, mom0, rate, jom = weights
@@ -232,7 +193,7 @@ class _Collocation:
     """
 
     def __init__(self, params, theta0, omega0, h):
-        self.weights = _scaled_moments(_STEP_X * h, h, params.inertia_m)
+        self.weights = relaxation_weights(_STEP_X * h, h, params.inertia_m, _DEGREE)
         _, mom0, _, jom = self.weights
         lag = jom[:, _DEGREE:].T @ _VINV  # theta at the nodes is linear in the node values
         self.w0, self.w = lag[:, 0], lag[:, 1:]
@@ -315,8 +276,9 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
     the nodes, the quantity `model._defect_bound` reads, stays below
     _DEFECT_FACTOR * tol plus a rounding floor; the next step follows that
     defect as its 1/(q + 1)th power.  A Newton iteration that does not
-    converge halves the step.  At m = 0 the weights of `_scaled_moments` make
-    this classical collocation, and the defect theta' - nu - c(theta).
+    converge halves the step.  At m = 0 the weights of `relaxation_weights`
+    make this classical collocation, and the defect theta' - nu - c(theta).
+    Returns the grid, its states and each cell's h and g = nu + c model.
     """
     limit = _DEFECT_FACTOR * tol + _DEFECT_NOISE * params.coupling_kappa
     t = 0.0
@@ -328,7 +290,7 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
     grid = [0.0]
     thetas = [theta.copy()]
     omegas = [omega.copy()]
-    seg_t0, seg_h, seg_th0, seg_om0, seg_coef = [], [], [], [], []
+    hs, coefs = [], []
 
     steps = 0
     while t < horizon - 1e-14 * max(1.0, horizon):
@@ -342,11 +304,8 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
         else:
             defect, iterations, coef_c, coef, th_end, om_end, g_end = step
             if defect <= 1.0:
-                seg_t0.append(t)
-                seg_h.append(h)
-                seg_th0.append(theta)
-                seg_om0.append(omega)
-                seg_coef.append(coef)
+                hs.append(h)
+                coefs.append(coef)
                 t += h
                 theta, omega, g0 = th_end, om_end, g_end
                 grid.append(t)
@@ -360,8 +319,8 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
         if h < 1e-15 * max(1.0, horizon):
             raise IntegrationError("step size underflow; tolerance unachievable")
 
-    dense = _ExpDense(params.inertia_m, seg_t0, seg_h, seg_th0, seg_om0, seg_coef)
-    return np.asarray(grid), np.asarray(thetas), np.asarray(omegas), dense
+    return (np.asarray(grid), np.asarray(thetas), np.asarray(omegas),
+            np.asarray(hs), np.asarray(coefs))
 
 
 def integrate(
@@ -396,20 +355,20 @@ def integrate(
     # Overflow and NaN raise no numpy warning here: they end in a rejected
     # step, a step-size underflow or a bound that fails the gate below.
     with np.errstate(all="ignore"):
-        grid, th, om, dense = _integrate_exp(params, theta0, omega0, horizon, step_tol, max_steps)
+        grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, step_tol, max_steps)
         sup = None
         if slaved:
             om = rhs_first_order(params, th)  # what the dense output reads at each cell start
         else:
             gate = CERTIFICATION_FACTOR * tol
-            traj = Trajectory(params, grid, th, om, tol, "exp", None, dense)
+            traj = Trajectory(params, grid, th, om, tol, "exp", None, hs, coefs)
             bound = _model._defect_bound(params, traj, gate)
             if bound is None:
                 raise IntegrationError("certification failed: defect bound unresolved")
             sup = float(bound.max())
             if not sup <= gate:  # a NaN bound fails too
                 raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
-    return Trajectory(params, grid, th, om, tol, "exp", sup, dense)
+    return Trajectory(params, grid, th, om, tol, "exp", sup, hs, coefs)
 
 
 @dataclass(frozen=True)

@@ -171,7 +171,7 @@ def _chunk_residual(params: SystemParams, eval_many, ts, carry):
     m = params.inertia_m
     theta, omega = eval_many(ts)
     g, dg = coupling_and_rate(params, theta, omega)
-    conv = relaxation_convolution(ts, g, dg, m) / m
+    conv = relaxation_convolution(ts, g, dg, m)
     decay = np.exp(-(ts - ts[0]) / m)[:, None]
     start = omega[0] if carry is None else carry
     model = start * decay + params.nat_freq * (1.0 - decay) + conv

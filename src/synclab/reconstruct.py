@@ -138,7 +138,7 @@ def contraction_map(
     conv = relaxation_convolution(t, g, dg, m)
 
     e = np.exp(-t / m)[:, None]
-    out = omega0[None, :] * e + params.nat_freq[None, :] * (1.0 - e) + conv / m
+    out = omega0[None, :] * e + params.nat_freq[None, :] * (1.0 - e) + conv
     return GridFunction(omega_star.t0, out)
 
 

@@ -64,6 +64,8 @@ class BoundCheck:
         bo = np.atleast_1d(np.asarray(self.bound, dtype=float))
         if not (t.shape == me.shape == bo.shape):
             raise ValueError("times, measured, bound must share a shape")
+        if not t.size:
+            raise ValueError(f"bound check {self.name} has no times")
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "measured", me)
         object.__setattr__(self, "bound", bo)
@@ -484,14 +486,16 @@ def compare_trajectories(
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
     the consecutive sup-gap ratios used for the linear-in-m verdict.
     """
-    if list(m_list) != sorted(m_list, reverse=True) or min(m_list) <= 0:
-        raise ValueError("m_list must be positive and descending")
+    if len(m_list) == 0 or list(m_list) != sorted(m_list, reverse=True) or min(m_list) <= 0:
+        raise ValueError("m_list must be nonempty, positive and descending")
     slack = SLACK_FACTOR * tol
 
     params0 = SystemParams(params_base.n, 0.0, params_base.coupling_kappa, params_base.nat_freq)
     traj0 = integrate(params0, init, horizon, tol)
     ts = np.linspace(0.0, horizon, 601)
     th0, om0_t = traj0.eval_many(ts)
+    jt = [t for t in (0.5, 1.0, 2.0) if t <= horizon]
+    jets_0 = {t: taylor_jet(params0, traj0.state_at_time(t), n_max).coeffs for t in jt}
 
     result: dict = {"m_list": list(m_list), "checks": {}, "sup_gap": {}, "trajectories": {}}
     for m in m_list:
@@ -540,9 +544,7 @@ def compare_trajectories(
                 BoundCheck("c1_rel_full", ts, vgap_rel, bound_c1_rel(params_m, init, ts), slack)
             )
 
-        jt = [t for t in (0.5, 1.0, 2.0) if t <= horizon]
         jets_m = {t: taylor_jet(params_m, traj_m.state_at_time(t), n_max).coeffs for t in jt}
-        jets_0 = {t: taylor_jet(params0, traj0.state_at_time(t), n_max).coeffs for t in jt}
         for t in jt:
             for n in range(2, n_max + 1):
                 dvec = jets_m[t][n] - jets_0[t][n]

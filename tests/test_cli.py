@@ -103,9 +103,11 @@ def test_bipolar_init_mode(tmp_path):
     assert float(first[1]) == pytest.approx(0.9 / 3)
     assert float(first[3]) == pytest.approx(-0.9 * 2 / 3)
     bad = tmp_path / "bad_bi.json"
-    bad.write_text(json.dumps({"n": 3, "n1": 1, "n2": 1, "init_mode": "bipolar"}))
-    with pytest.raises(ConfigError, match="n1"):
-        load_config(str(bad), {})
+    # groups that do not add up to n, an empty group, a negative one
+    for n, n1, n2 in ((3, 1, 1), (2, 0, 2), (2, -1, 3)):
+        bad.write_text(json.dumps({"n": n, "n1": n1, "n2": n2, "init_mode": "bipolar"}))
+        with pytest.raises(ConfigError, match="n1.*n2"):
+            load_config(str(bad), {})
 
 
 def test_exit_code_pass_fail(tmp_path):
@@ -280,6 +282,22 @@ def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsy
     assert len(err) == 1
     assert err[0].startswith("error: config:")
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        # the c1 checks read t >= 5 m, past a horizon of 0.1 at m = 0.1
+        ("horizon=0.1", "bound check c1_abs has no times"),
+        ("m_list=[]", "m_list must be nonempty"),
+    ],
+)
+def test_empty_bound_checks_exit_2_with_their_own_line(override, message, tmp_path, capsys):
+    assert run_cli(["sweep", "--set", override, "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error: config:")
+    assert message in err[0]
 
 
 def test_validate_rejects_bad_cluster_indices():

@@ -1,4 +1,4 @@
-"""Relaxation moments and the relaxation convolution against quadrature oracles."""
+"""Relaxation weights and the relaxation convolution against quadrature oracles."""
 
 from __future__ import annotations
 
@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synclab import _kernels
-from synclab._kernels import exp_moments, one_sided_moments, relaxation_convolution
+from synclab._kernels import relaxation_convolution, relaxation_weights
 
 _X, _W = np.polynomial.legendre.leggauss(60)
 
@@ -50,35 +50,56 @@ def _rel_err(got, want):
     return float(np.max(np.abs(np.asarray(got) - want) / np.abs(want)))
 
 
+def _moments(s, m, degree):
+    """M_p and J_p, (degree + 1, Q) each, from the weights of unit-width cells."""
+    _, _, rate, jom = relaxation_weights(s, 1.0, m, degree)
+    return m * rate, jom
+
+
 def test_exp_moments_match_oracle(oracle_table):
+    # the exponential moments M_p, read off the rate weights
     s, table = oracle_table
-    mom = exp_moments(s, _M, 3)
+    mom, _ = _moments(s, _M, 3)
     for p in range(4):
         assert _rel_err(mom[p], table[p][:, 0]) < 1e-12, p
 
 
 def test_one_sided_moments_match_oracle(oracle_table):
+    # the pair M_p and J_p that the one-sided cells integrate with
     s, table = oracle_table
-    mom, jom = one_sided_moments(s, _M, 3)
+    mom, jom = _moments(s, _M, 3)
     for p in range(4):
         assert _rel_err(mom[p], table[p][:, 0]) < 1e-12, p
         assert _rel_err(jom[p], table[p][:, 1]) < 1e-12, p
 
 
-def test_moments_at_scalar_inputs_match_oracle(oracle_table):
+def test_weights_at_single_offsets_match_oracle(oracle_table):
+    # one offset at a time takes each branch for the whole input
     s, table = oracle_table
-    got = np.array([np.ravel(one_sided_moments(float(si), _M, 2)) for si in s])
+    got = np.array([np.ravel(_moments(np.array([si]), _M, 2)) for si in s])
     for p in range(3):
         assert _rel_err(got[:, p], table[p][:, 0]) < 1e-12, p
         assert _rel_err(got[:, 3 + p], table[p][:, 1]) < 1e-12, p
 
 
 def test_moments_keep_the_input_shape():
-    assert exp_moments(0.2, 1.0, 2)[2].shape == ()
-    mom, jom = one_sided_moments(np.full((3, 2), 0.2), 1.0, 1)
-    assert mom[1].shape == jom[1].shape == (3, 2)
+    decay, mom0, rate, jom = relaxation_weights(np.full(3, 0.2), 0.5, 1.0, 2)
+    assert decay.shape == mom0.shape == (3,)
+    assert rate.shape == jom.shape == (3, 3)
     with pytest.raises(ValueError):
-        exp_moments(0.2, 1.0, _kernels._MAX_ORDER + 1)
+        relaxation_weights(np.full(3, 0.2), 0.5, 1.0, _kernels._MAX_ORDER + 1)
+
+
+def test_weights_approach_the_first_order_limit_linearly_in_m():
+    # past the layer the weights differ from their m = 0 limits by O(m):
+    # M_p/m = s^p - p m s^(p-1) + ..., J_p = s^(p+1)/(p+1) - O(m s^p)
+    h = 0.7
+    s = np.linspace(0.05 * h, h, 41)
+    limit = relaxation_weights(s, h, 0.0, _kernels._MAX_ORDER)
+    for m in 10.0 ** -np.arange(3.0, 13.0):
+        got = relaxation_weights(s, h, m, _kernels._MAX_ORDER)
+        for want, have in zip(limit, got):
+            assert np.abs(have - want).max() <= 9.0 * m, m
 
 
 def _panel_oracle(s: float, m: float, p: int) -> tuple[float, float]:
@@ -114,13 +135,14 @@ def test_moments_of_every_order_match_the_gauss_oracle(z, m):
     # far past every switch, and on both sides of each switch
     q = importlib.import_module("synclab.integrate")._DEGREE
     s = z * m
-    mom, jom = one_sided_moments(np.array([s]), m, q)
-    only_m = exp_moments(s, m, q)
+    mom, jom = _moments(np.array([s]), m, q)
+    low, _ = _moments(np.array([s]), m, 3)  # the Hermite cells' order
     for p in range(q + 1):
         want_m, want_j = _panel_oracle(s, m, p)
         assert abs(mom[p][0] - want_m) <= 1e-12 * want_m, (p, z)
-        assert abs(only_m[p] - want_m) <= 1e-12 * want_m, (p, z)
         assert abs(jom[p][0] - want_j) <= 1e-12 * want_j, (p, z)
+        if p <= 3:
+            assert abs(low[p][0] - want_m) <= 1e-12 * want_m, (p, z)
 
 
 def _hermite(u, a, b, f0, df0, f1, df1):
@@ -149,7 +171,7 @@ def _check_convolution_against_oracle(m):
     values = rng.normal(0.0, 1.0, (q, 2))
     slopes = rng.normal(0.0, 3.0, (q, 2))
 
-    got = relaxation_convolution(nodes, values, slopes, m)
+    got = m * relaxation_convolution(nodes, values, slopes, m)
     assert got.shape == (q, 2)
     assert np.all(got[0] == 0.0)
     for e in range(1, q):

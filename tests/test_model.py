@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import dataclasses
 import math
 import tracemalloc
@@ -252,12 +251,10 @@ def _long_exp_cell():
 
 
 def _with_segment(traj, k, field, change):
-    """traj with one cell's dense coefficient changed, and nothing else."""
-    dense = copy.copy(traj._dense)
-    values = getattr(dense, field).copy()
+    """traj with one cell's coupling model or start value changed, and nothing else."""
+    values = getattr(traj, field).copy()
     values[k] += change
-    setattr(dense, field, values)
-    return dataclasses.replace(traj, _dense=dense)
+    return dataclasses.replace(traj, **{field: values})
 
 
 def test_defect_bound_certifies_a_clean_exp_run():
@@ -293,9 +290,9 @@ def test_defect_bound_flags_a_corrupted_coupling_model():
     # a wrong top coefficient in one cell's coupling model: the defect there
     # is about 1e-5 x^q, x = (t - t_k) / h_k
     p, traj, k, gate = _long_exp_cell()
-    change = np.zeros(traj._dense.coefs.shape[1:])
+    change = np.zeros(traj._coefs.shape[1:])
     change[-1, 0] = 1e-5
-    bad = _with_segment(traj, k, "coefs", change)
+    bad = _with_segment(traj, k, "_coefs", change)
     bound = model._defect_bound(p, bad, gate)
     assert bound[k + 1].max() > gate
     assert bound[: k + 1].max() < gate
@@ -344,7 +341,7 @@ def test_defect_bound_flags_a_jump_at_a_grid_point():
     # omega restarts 1e-5 off at t_k; the residual jumps with it and then
     # fades over a few m inside the cell
     p, traj, k, gate = _long_exp_cell()
-    bad = _with_segment(traj, k, "omega0", 1e-5)
+    bad = _with_segment(traj, k, "omega_grid", 1e-5)
     bound = model._defect_bound(p, bad, gate)
     assert bound[k + 1].max() > 1e-5
     assert bound[:k].max() < gate
