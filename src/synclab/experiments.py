@@ -152,6 +152,13 @@ class ExperimentReport:
     def add_check(self, name: str, passed: bool, **detail) -> None:
         self.checks.append({"name": name, "passed": bool(passed), **detail})
 
+    def add_residual_check(self, name: str, traj: Trajectory, tol: float) -> None:
+        """The certificate's 50 * tol gate on an inertial trajectory; no check at m = 0."""
+        if traj.params.is_inertial:
+            self.add_check(
+                name, traj.duhamel_sup <= CERTIFICATION_FACTOR * tol, residual=traj.duhamel_sup
+            )
+
     def add_bound_checks(self, checks: Sequence[BoundCheck], prefix: str = "") -> None:
         for c in checks:
             s = c.summary()
@@ -279,13 +286,7 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
             case=out["case"],
             r0=out["r0"],
         )
-        traj = out["trajectory"]
-        if traj.params.is_inertial:
-            report.add_check(
-                f"residual_seed{s}",
-                traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
-                residual=traj.duhamel_sup,
-            )
+        report.add_residual_check(f"residual_seed{s}", out["trajectory"], config.tol)
     report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
     report.wall_time_s = time.perf_counter() - t_start
     return report
@@ -320,12 +321,7 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
     )
     for m in config.m_list:
         report.add_bound_checks(res["checks"][m], prefix=f"m{m:g}/")
-        traj = res["trajectories"][m]
-        report.add_check(
-            f"residual_m{m:g}",
-            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
-            residual=traj.duhamel_sup,
-        )
+        report.add_residual_check(f"residual_m{m:g}", res["trajectories"][m], config.tol)
     for i, r in enumerate(res["ratios"]):
         report.add_check(f"linear_ratio_{i}", 0.40 <= r <= 0.60, ratio=r)
     report.summaries = {
@@ -457,12 +453,7 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
         max_freq_spread=cert.max_freq_spread,
         max_phase_drift=cert.max_phase_drift,
     )
-    if params.is_inertial:
-        report.add_check(
-            "residual",
-            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
-            residual=traj.duhamel_sup,
-        )
+    report.add_residual_check("residual", traj, config.tol)
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
     report.wall_time_s = time.perf_counter() - t_start
     return report
@@ -474,8 +465,8 @@ def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
     t_start = time.perf_counter()
     report = ExperimentReport("reconstruction", _config_echo(config))
 
-    rng = _rng(config.seed, 0)
-    theta0, _ = draw_initial_phases(config)
+    theta0, attempt = draw_initial_phases(config)
+    rng = _rng(config.seed, 1000 + attempt)
     nu = _spread_to(rng.normal(0.0, 1.0, config.n), 0.2 * config.coupling_kappa)
     om0 = nu + _spread_to(rng.normal(0.0, 1.0, config.n), 0.5 * config.coupling_kappa)
     params = SystemParams(config.n, config.inertia_m, config.coupling_kappa, nu)
@@ -596,12 +587,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
     traj = integrate(params, PhaseState(0.0, theta0, omega0), config.horizon, config.tol)
 
     cert = lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
-    if params.is_inertial:
-        report.add_check(
-            "residual",
-            traj.duhamel_sup <= CERTIFICATION_FACTOR * config.tol,
-            residual=traj.duhamel_sup,
-        )
+    report.add_residual_check("residual", traj, config.tol)
     report.summaries = {
         "locked": cert.locked,
         "r_end": cert.limiting_r_estimate,

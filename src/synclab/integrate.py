@@ -18,7 +18,8 @@ Every inertial trajectory is certified on construction: the residual of the
 velocity integral representation must stay below 50 * tol.  A bound on that
 residual from the ODE defect of the dense output, sampled per cell
 (`model._defect_bound`), certifies it, so its cost follows the cells rather
-than horizon/m; a run whose bound does not prove the gate raises.
+than horizon/m; a run whose bound does not prove the gate raises.  That
+defect is the collocation error g - nu - c(theta) of each cell's model g.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ __all__ = [
 MAX_JET_ORDER = 12
 CERTIFICATION_FACTOR = 50.0
 STEP_SAFETY = 0.3  # the stepper targets this fraction of the requested tol
+MAX_STEPS = 2_000_000  # step attempts before a run gives up
 
 
 class IntegrationError(RuntimeError):
@@ -92,9 +94,9 @@ class Trajectory:
 
     Cell k is one exp step of width _hs[k] from grid[k], theta_grid[k] and
     omega_grid[k] (of weight 0 at m = 0), under the coupling model
-    g(s) = sum_p _coefs[k, p] (s/h)^p, nu in the constant term.
-    `duhamel_sup` (None for m = 0) is the defect bound on the velocity
-    residual that certified the trajectory against the 50 * tol gate.
+    g(s) = sum_p _coefs[k, p] (s/h)^p, nu in the constant term, to which its
+    dense omega relaxes exactly.  `duhamel_sup` (None for m = 0) bounds the
+    velocity residual that certified the trajectory against the 50 * tol gate.
     """
 
     params: SystemParams
@@ -117,21 +119,27 @@ class Trajectory:
         Each time is read in the grid cell that starts at or before it, or in
         the cell `cells` names, so that a cell can be read at its right end.
         """
-        return self._read(ts, cells, with_rate=False)
+        return self._read(ts, cells)[:2]
 
-    def eval_rate(self, ts, cells=None) -> np.ndarray:
-        """The time derivative of the dense omega, (len(ts), n), read like eval_many."""
-        return self.eval_with_rate(ts, cells)[2]
+    def eval_with_model(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """eval_many and the coupling model g = nu + p_c of each time's cell, (len(ts), n).
 
-    def eval_with_rate(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """eval_many and eval_rate together, from one read of the cells."""
-        return self._read(ts, cells, with_rate=True)
+        In each cell the dense omega solves m omega' + omega = g exactly
+        (omega = g at m = 0), so the certificate reads the ODE defect
+        m omega' + omega - nu - c(theta) as g - nu - c(theta).
+        """
+        theta, omega, cells, s, h = self._read(ts, cells)
+        x = (s / h)[:, None]
+        g = self._coefs[cells, _DEGREE]
+        for p in range(_DEGREE - 1, -1, -1):
+            g = g * x + self._coefs[cells, p]
+        return theta, omega, g
 
-    def _read(self, ts, cells, *, with_rate):
-        """(theta, omega), and with `with_rate` also omega' = (g(s) - omega) / m.
+    def _read(self, ts, cells):
+        """(theta, omega), and the cells read with each time's offset s into its cell of width h.
 
-        At m = 0 omega is g itself, so omega' is g'.  One coefficient row per
-        query is gathered at a time, so no (Q, _DEGREE + 1, n) block is formed.
+        One coefficient row per query is gathered at a time, so no
+        (Q, _DEGREE + 1, n) block is formed.
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
@@ -139,24 +147,12 @@ class Trajectory:
         if cells is None:  # the cell starting at or before each query
             cells = np.searchsorted(self.grid[:-1], ts, side="right") - 1
             cells = np.clip(cells, 0, len(self._hs) - 1)
-        m = self.params.inertia_m
         s = ts - self.grid[cells]
         h = self._hs[cells]
         rows = (self._coefs[cells, p] for p in range(_DEGREE + 1))
-        weights = relaxation_weights(s, h, m, _DEGREE)
+        weights = relaxation_weights(s, h, self.params.inertia_m, _DEGREE)
         theta, omega = _relax(self.theta_grid[cells], self.omega_grid[cells], rows, weights)
-        if not with_rate:
-            return theta, omega
-        x = (s / h)[:, None]
-        if m == 0.0:
-            dg = _DEGREE * self._coefs[cells, _DEGREE]
-            for p in range(_DEGREE - 1, 0, -1):
-                dg = dg * x + p * self._coefs[cells, p]
-            return theta, omega, dg / h[:, None]
-        g = self._coefs[cells, _DEGREE]
-        for p in range(_DEGREE - 1, -1, -1):
-            g = g * x + self._coefs[cells, p]
-        return theta, omega, (g - omega) / m
+        return theta, omega, cells, s, h
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
@@ -263,7 +259,7 @@ def _collocate(params, theta, omega, g0, h, prev, limit):
     return defect, iterations, coef_c, coef, th[-1], om[-1], c[-1]
 
 
-def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
+def _integrate_exp(params, theta0, omega0, horizon, tol):
     """Exponential collocation under defect control.
 
     Each step treats the relaxation -omega/m exactly and models the coupling
@@ -294,7 +290,7 @@ def _integrate_exp(params, theta0, omega0, horizon, tol, max_steps):
 
     steps = 0
     while t < horizon - 1e-14 * max(1.0, horizon):
-        if steps >= max_steps:
+        if steps >= MAX_STEPS:
             raise IntegrationError(f"step budget exhausted at t={t:.6g}")
         steps += 1
         h = min(h, horizon - t)
@@ -328,8 +324,6 @@ def integrate(
     init: PhaseState,
     horizon: float,
     tol: float,
-    *,
-    max_steps: int = 2_000_000,
 ) -> Trajectory:
     """Integrate either system over [0, horizon] with local tolerance tol.
 
@@ -355,7 +349,7 @@ def integrate(
     # Overflow and NaN raise no numpy warning here: they end in a rejected
     # step, a step-size underflow or a bound that fails the gate below.
     with np.errstate(all="ignore"):
-        grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, step_tol, max_steps)
+        grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, step_tol)
         sup = None
         if slaved:
             om = rhs_first_order(params, th)  # what the dense output reads at each cell start
@@ -378,9 +372,6 @@ class TaylorJet:
     t: float
     order: int
     coeffs: np.ndarray  # (order + 1, n); coeffs[k][i] = d^k theta_i / dt^k
-
-    def derivative(self, k: int) -> np.ndarray:
-        return self.coeffs[k]
 
 
 def taylor_jet(params: SystemParams, state: PhaseState, order: int) -> TaylorJet:

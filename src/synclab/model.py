@@ -226,11 +226,13 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
 def _cell_defect(params: SystemParams, traj, cells, offsets):
     """Largest |ODE defect| per cell (C, n) over `offsets` (C, P) into grid `cells` (C,).
 
-    The defect of the dense output is delta = m omega' + omega - nu - c(theta).
-    Also returns omega at each cell's first and last offset, (C, 2, n).  The
-    cells are walked in chunks of about _CHUNK_ENTRIES entries.
+    The defect of the dense output, delta = m omega' + omega - nu - c(theta),
+    is read as g - nu - c(theta), the collocation error of the cell's coupling
+    model g, to which the dense omega relaxes exactly.  Also returns omega at
+    each cell's first and last offset, (C, 2, n).  The cells are walked in
+    chunks of about _CHUNK_ENTRIES entries.
     """
-    m, n = params.inertia_m, params.n
+    n = params.n
     per = offsets.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (n * per))
     sup = np.empty((len(cells), n))
@@ -239,8 +241,8 @@ def _cell_defect(params: SystemParams, traj, cells, offsets):
         c = cells[a : a + chunk]
         ts = (traj.grid[c][:, None] + offsets[a : a + chunk]).ravel()
         idx = np.repeat(c, per)
-        theta, omega, rate = traj.eval_with_rate(ts, idx)
-        delta = m * rate + omega - params.nat_freq
+        theta, omega, g = traj.eval_with_model(ts, idx)
+        delta = g - params.nat_freq
         delta -= _mean_field(params, np.exp(1j * theta))[0]
         sup[a : a + chunk] = np.abs(delta).reshape(len(c), per, n).max(axis=1)
         ends[a : a + chunk] = omega.reshape(len(c), per, n)[:, [0, -1]]
@@ -251,7 +253,8 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     """Bound on the velocity residual per grid cell from the ODE defect, or None.
 
     Inside a grid cell the residual r of `duhamel_residual_grid` obeys
-    m r' + r = delta, the defect of the dense output, and at a grid point it
+    m r' + r = delta, the defect of the dense output (the collocation error
+    g - nu - c(theta) of the cell's coupling model g), and at a grid point it
     jumps by the jump J_k of the dense omega there.  With D_k = sup |delta| on
     cell k this gives |r| <= max(B_k + J_k, D_k) on the cell and
     B_{k+1} = e^{-h_k/m} (B_k + J_k) + (1 - e^{-h_k/m}) D_k, per oscillator.

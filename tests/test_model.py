@@ -327,11 +327,13 @@ def test_defect_bound_flags_a_bump_between_dop853_grid_points():
         grid = traj.grid
 
         @staticmethod
-        def eval_with_rate(ts, cells):
-            th, om, rate = traj.eval_with_rate(ts, cells)
+        def eval_with_model(ts, cells):
+            # the bumped omega relaxes to g + m b'' + b', which the bound reads
+            th, om, g = traj.eval_with_model(ts, cells)
             first = np.array([1.0, 0.0])
             b, db, d2b = bump(ts)
-            return th + np.outer(b, first), om + np.outer(db, first), rate + np.outer(d2b, first)
+            return (th + np.outer(b, first), om + np.outer(db, first),
+                    g + np.outer(m * d2b + db, first))
 
     bound = model._defect_bound(p, Bumped(), gate)
     assert np.flatnonzero(bound.max(axis=1) > gate).tolist() == [k + 1]

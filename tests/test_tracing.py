@@ -35,5 +35,9 @@ def test_tracer_installs_around_one_run_and_restores():
     assert traj.duhamel_sup <= 50 * traj.tol
     names = {span[0] for span in tracer.spans}
     assert {"integrate.integrate", "model.coupling_term"} <= names
-    assert tracer.layer_metrics()["integrate.grid_points"] == len(traj.grid)
+    metrics = tracer.layer_metrics()
+    assert metrics["integrate.grid_points"] == len(traj.grid)
+    # the certificate does not read the dense output through the traced
+    # eval_many, so a bare integrate counts no dense calls
+    assert metrics["integrate.dense_calls"] == 0
     assert synclab.integrate is integrate and model.duhamel_residual_grid is certify
