@@ -31,8 +31,11 @@ from .observables import (
 )
 from .reconstruct import (
     ZERO_TOL,
+    bipolar_phases,
+    contraction_horizon,
     counterexample_bipolar,
     determinability_threshold,
+    lipschitz_constant,
     reconstruct_velocity,
 )
 from .tikhonov import SLACK_FACTOR, BoundCheck, compare_trajectories
@@ -193,16 +196,6 @@ def _spread_to(values: np.ndarray, target: float) -> np.ndarray:
     return v * (target / width)
 
 
-def _config_echo(config: ScenarioConfig) -> dict:
-    out = {}
-    for k, v in vars(config).items():
-        if isinstance(v, tuple):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
-
-
 def draw_initial_phases(config: ScenarioConfig):
     """Uniform phases on [0, 2pi) with the generic-data filter R0 > 0.05.
 
@@ -264,7 +257,7 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
     limiting order-parameter floor for the applicable case."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("sync_certification", _config_echo(config))
+    report = ExperimentReport("sync_certification", _plain(vars(config)))
     r_ends, cases = [], []
     for s in range(config.seeds):
         out = _sync_scenario(config, s)
@@ -307,7 +300,7 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
     """Small-inertia sweep: full bound suite plus the linear-in-m verdict."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("tikhonov_sweep", _config_echo(config))
+    report = ExperimentReport("tikhonov_sweep", _plain(vars(config)))
     params0, init = _sweep_init(config)
 
     res = compare_trajectories(
@@ -337,16 +330,17 @@ def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
     in normalized time; classify the identical-frequency limit."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("identical_comparison", _config_echo(config))
+    report = ExperimentReport("identical_comparison", _plain(vars(config)))
 
+    attempt = 0
     if config.theta0 is not None:
         theta0 = np.asarray(config.theta0, dtype=float)
     else:
-        theta0, _ = draw_initial_phases(config)
+        theta0, attempt = draw_initial_phases(config)
     if config.nat_freq is not None:
         nu = np.asarray(config.nat_freq, dtype=float)
     else:
-        rng = _rng(config.seed, 1)
+        rng = _rng(config.seed, 1000 + attempt)
         d_nu = config.a_freq_spread if config.a_freq_spread is not None else 0.05
         nu = _spread_to(rng.normal(0.0, 1.0, config.n), d_nu * config.coupling_kappa)
 
@@ -418,7 +412,7 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
     """Majority-cluster confinement check plus whole-ensemble locking."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("cluster", _config_echo(config))
+    report = ExperimentReport("cluster", _plain(vars(config)))
     params, init, spec = _cluster_scenario(config)
 
     traj = integrate(params, init, config.horizon, config.tol)
@@ -463,7 +457,7 @@ def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
     """Forward-simulate, then recover the velocity history from (theta(t0), omega0)."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("reconstruction", _config_echo(config))
+    report = ExperimentReport("reconstruction", _plain(vars(config)))
 
     theta0, attempt = draw_initial_phases(config)
     rng = _rng(config.seed, 1000 + attempt)
@@ -471,8 +465,6 @@ def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
     om0 = nu + _spread_to(rng.normal(0.0, 1.0, config.n), 0.5 * config.coupling_kappa)
     params = SystemParams(config.n, config.inertia_m, config.coupling_kappa, nu)
     init = PhaseState(0.0, theta0, om0)
-
-    from .reconstruct import contraction_horizon, lipschitz_constant
 
     horizon_c = contraction_horizon(config.coupling_kappa, config.inertia_m)
     t0 = config.t0
@@ -510,7 +502,7 @@ def run_determinability_demo(config: ScenarioConfig) -> ExperimentReport:
     """Threshold table over an (m, kappa) grid plus the collision construction."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("determinability", _config_echo(config))
+    report = ExperimentReport("determinability", _plain(vars(config)))
 
     table = []
     for m in (0.1, 0.25, 0.5, 1.0):
@@ -559,7 +551,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
     """Plain integration with the lock certificate, for the CLI simulate verb."""
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("simulate", _config_echo(config))
+    report = ExperimentReport("simulate", _plain(vars(config)))
 
     if config.init_mode == "explicit":
         theta0 = np.asarray(config.theta0, dtype=float)
@@ -569,11 +561,8 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
             else np.zeros(config.n)
         )
     elif config.init_mode == "bipolar":
-        eta, n = config.bipolar_eta, config.n
-        theta0 = np.concatenate(
-            [np.full(config.n1, eta * config.n2 / n), np.full(config.n2, -eta * config.n1 / n)]
-        )
-        omega0 = np.zeros(n)
+        theta0 = bipolar_phases(config.n1, config.n2, config.bipolar_eta)
+        omega0 = np.zeros(config.n)
     else:
         theta0, attempt = draw_initial_phases(config)
         rng = _rng(config.seed, 1000 + attempt)
@@ -607,7 +596,7 @@ def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
     """
     config.validate()
     t_start = time.perf_counter()
-    report = ExperimentReport("conjecture_probe", _config_echo(config))
+    report = ExperimentReport("conjecture_probe", _plain(vars(config)))
 
     theta0, attempt = draw_initial_phases(config)
     rng = _rng(config.seed, 1000 + attempt)

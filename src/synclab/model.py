@@ -25,8 +25,8 @@ from ._kernels import relaxation_chain, relaxation_convolution
 # Nodes times oscillators per chunk of the defect bound and of the exact
 # residual; it bounds their arrays whatever horizon/m.
 _CHUNK_ENTRIES = 1 << 16
-# First and last level L of the defect bound's 2^L + 1 even nodes per cell.
-_DEFECT_LEVELS = (3, 8)
+# Level L of the defect bound's 2^L + 1 even nodes per cell.
+_DEFECT_LEVEL = 4
 
 __all__ = [
     "SystemParams",
@@ -223,30 +223,34 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
     return cell_max, res[-1]
 
 
-def _cell_defect(params: SystemParams, traj, cells, offsets):
-    """Largest |ODE defect| per cell (C, n) over `offsets` (C, P) into grid `cells` (C,).
+def _cell_defect(params: SystemParams, traj, offsets, coarse):
+    """Largest |ODE defect| per cell over the `coarse` offsets and over all of them.
 
-    The defect of the dense output, delta = m omega' + omega - nu - c(theta),
-    is read as g - nu - c(theta), the collocation error of the cell's coupling
-    model g, to which the dense omega relaxes exactly.  Also returns omega at
-    each cell's first and last offset, (C, 2, n).  The cells are walked in
-    chunks of about _CHUNK_ENTRIES entries.
+    `offsets` (K, P) are times into each grid cell k and `coarse` (P,) marks
+    a subset of them.  The defect of the dense output,
+    delta = m omega' + omega - nu - c(theta), is read as g - nu - c(theta), the
+    collocation error of the cell's coupling model g, to which the dense omega
+    relaxes exactly.  Returns both sups (K, n) and omega at each cell's first
+    and last offset (K, 2, n).  The cells are walked in chunks of about
+    _CHUNK_ENTRIES entries.
     """
     n = params.n
-    per = offsets.shape[1]
+    cells, per = offsets.shape
     chunk = max(1, _CHUNK_ENTRIES // (n * per))
-    sup = np.empty((len(cells), n))
-    ends = np.empty((len(cells), 2, n))
-    for a in range(0, len(cells), chunk):
-        c = cells[a : a + chunk]
-        ts = (traj.grid[c][:, None] + offsets[a : a + chunk]).ravel()
-        idx = np.repeat(c, per)
-        theta, omega, g = traj.eval_with_model(ts, idx)
+    sup_coarse = np.empty((cells, n))
+    sup = np.empty((cells, n))
+    ends = np.empty((cells, 2, n))
+    for a in range(0, cells, chunk):
+        c = np.arange(a, min(a + chunk, cells))
+        ts = (traj.grid[c][:, None] + offsets[c]).ravel()
+        theta, omega, g = traj.eval_with_model(ts, np.repeat(c, per))
         delta = g - params.nat_freq
         delta -= _mean_field(params, np.exp(1j * theta))[0]
-        sup[a : a + chunk] = np.abs(delta).reshape(len(c), per, n).max(axis=1)
-        ends[a : a + chunk] = omega.reshape(len(c), per, n)[:, [0, -1]]
-    return sup, ends
+        delta = np.abs(delta).reshape(len(c), per, n)
+        sup_coarse[c] = delta[:, coarse].max(axis=1)
+        sup[c] = delta.max(axis=1)
+        ends[c] = omega.reshape(len(c), per, n)[:, [0, -1]]
+    return sup_coarse, sup, ends
 
 
 def _defect_bound(params: SystemParams, traj, gate: float):
@@ -259,42 +263,33 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     cell k this gives |r| <= max(B_k + J_k, D_k) on the cell and
     B_{k+1} = e^{-h_k/m} (B_k + J_k) + (1 - e^{-h_k/m}) D_k, per oscillator.
 
-    D_k is sampled at 2^L + 1 even nodes and at the nodes m/10 * 2^j from the
-    cell start, which cover the layer of width m there.  From L = 3, L grows
-    until two levels differ by at most gate/10; D_k is the finer sup plus
-    that difference.  D_k is a sampled sup, so the rows bound the residual up
-    to that sampling error, which the refinement keeps below gate/10; in
-    cells far below the gate a row can fall a fraction of a percent short of
-    the exact residual there.  Returns (K, n) in the layout of
-    duhamel_residual_grid, or None if a cell is still unresolved at the last
-    level.  Memory is O(chunk * n) besides a fixed number of entries per cell.
+    D_k is sampled at the 2^L + 1 even nodes of level L = _DEFECT_LEVEL and at
+    the nodes m/10 * 2^j from the cell start, which cover the layer of width m
+    there.  D_k is the sup over all of them plus its excess over the sup at
+    level L - 1 (the even nodes of that level, the layer nodes and the cell
+    start), an estimate of the sampling error.  D_k is a sampled sup, so the
+    rows bound the residual up to that error; in cells far below the gate a
+    row can fall a fraction of a percent short of the exact residual there.
+    Returns (K, n) in the layout of duhamel_residual_grid, or None if a cell's
+    excess is above gate/10 (or NaN).  Memory is O(chunk * n) besides a fixed
+    number of entries per cell.
     """
     m, n = params.inertia_m, params.n
     grid = traj.grid
     widths = np.diff(grid)
-    cells = np.arange(len(widths))
     layer = m / 10.0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(10.0 * widths.max() / m))))
-    level, last = _DEFECT_LEVELS
-    x = np.linspace(0.0, 1.0, 2**level + 1)
-    offsets = np.hstack([np.zeros((len(cells), 1)), np.minimum(layer, widths[:, None]),
+    x = np.linspace(0.0, 1.0, 2**_DEFECT_LEVEL + 1)
+    offsets = np.hstack([np.zeros((len(widths), 1)), np.minimum(layer, widths[:, None]),
                          np.outer(widths, x[1:])])
-    coarse, ends = _cell_defect(params, traj, cells, offsets)
+    coarse = np.ones(offsets.shape[1], dtype=bool)
+    coarse[1 + len(layer) :: 2] = False  # the even nodes new at level L
+    sup_coarse, sup, ends = _cell_defect(params, traj, offsets, coarse)
+    excess = sup - sup_coarse
+    if not np.all(excess <= gate / 10.0):  # a NaN fails too
+        return None
+    defect = sup + excess
     jumps = np.zeros((len(grid), n))  # |omega(t_k+) - omega(t_k-)|; none at either end
     jumps[1:-1] = np.abs(ends[1:, 0] - ends[:-1, 1])
-
-    defect = np.empty_like(coarse)
-    active = cells
-    while active.size:
-        if level == last:
-            return None
-        level += 1
-        x = np.arange(1, 2**level, 2) / 2**level  # the nodes new at this level
-        fine, _ = _cell_defect(params, traj, active, np.outer(widths[active], x))
-        fine = np.maximum(fine, coarse)
-        diff = fine - coarse
-        done = diff.max(axis=1) <= gate / 10.0
-        defect[active[done]] = fine[done] + diff[done]
-        active, coarse = active[~done], fine[~done]
 
     decay = np.exp(-widths / m)[:, None]
     entry = relaxation_chain(

@@ -36,6 +36,7 @@ __all__ = [
     "determinability_threshold",
     "pendulum_relative",
     "first_relative_zero",
+    "bipolar_phases",
     "counterexample_bipolar",
     "sturm_picone_monitor",
     "sturm_picone_tstar",
@@ -269,6 +270,12 @@ def first_relative_zero(traj: Trajectory) -> float | None:
     )
 
 
+def bipolar_phases(n1: int, n2: int, eta: float) -> np.ndarray:
+    """Two groups of n1 and n2 phases, eta apart, with zero mean: eta (+n2/N, ..., -n1/N)."""
+    n = n1 + n2
+    return np.concatenate([np.full(n1, eta * n2 / n), np.full(n2, -eta * n1 / n)])
+
+
 def counterexample_bipolar(
     n1: int,
     n2: int,
@@ -355,7 +362,7 @@ def counterexample_bipolar(
         raise IntegrationError("regula falsi did not reach the zero tolerance")
 
     n = n1 + n2
-    theta0 = np.concatenate([np.full(n1, eta * n2 / n), np.full(n2, -eta * n1 / n)])
+    theta0 = bipolar_phases(n1, n2, eta)
     phi0 = -theta0
     params = SystemParams(n, m, kappa, np.zeros(n))
     span = t_star * 1.001
@@ -378,7 +385,7 @@ def counterexample_bipolar(
         "velocity_gap_diameter": float(vel_gap.max() - vel_gap.min()),
         "relative_rate_at_t_star": rel_rate,
         "rate_negative": rel_rate < 0.0,
-        "pattern": np.concatenate([np.full(n1, n2 / n), np.full(n2, -n1 / n)]),
+        "pattern": bipolar_phases(n1, n2, 1.0),
         "theta0": theta0,
         "phi0": phi0,
         "trajectories": (traj_theta, traj_phi),

@@ -7,6 +7,7 @@ import math
 
 import pytest
 
+from synclab import experiments
 from synclab.experiments import (
     ScenarioConfig,
     _sync_scenario,
@@ -14,6 +15,8 @@ from synclab.experiments import (
     probe_conjecture_r,
     run_cluster_experiment,
     run_identical_comparison,
+    run_reconstruction_demo,
+    run_single_simulation,
     run_sync_certification,
     run_tikhonov_sweep,
 )
@@ -40,6 +43,31 @@ def test_initial_phase_filter(seed):
     assert order_parameter(theta0) > 0.05
     again, _ = draw_initial_phases(cfg)
     assert (theta0 == again).all()
+
+
+def test_no_runner_draws_from_one_stream_twice(monkeypatch):
+    # seed 18 at n = 2 rejects its first phase draw, so draw_initial_phases
+    # takes theta0 from stream 1; every other draw must come from a stream of
+    # its own
+    cfg = ScenarioConfig(seed=18, n=2, horizon=2.0, tol=1e-8, m_list=(0.1,), n_max=2)
+    assert draw_initial_phases(cfg)[1] == 1
+    draws = []
+    rng = experiments._rng
+
+    def recorded(seed, stream):
+        draws.append((seed, stream))
+        return rng(seed, stream)
+
+    monkeypatch.setattr(experiments, "_rng", recorded)
+    # of the cluster runner, only its scenario draws (the runner itself needs
+    # more than one cluster member at n = 2)
+    runners = (run_sync_certification, run_tikhonov_sweep, run_identical_comparison,
+               experiments._cluster_scenario, run_reconstruction_demo, run_single_simulation,
+               probe_conjecture_r)
+    for runner in runners:
+        draws.clear()
+        runner(cfg)
+        assert draws and len(set(draws)) == len(draws), (runner.__name__, draws)
 
 
 def test_sweep_determinism_bit_exact():

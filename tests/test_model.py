@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from synclab import model
 from synclab.experiments import ScenarioConfig, _sync_scenario
-from synclab.integrate import IntegrationError, integrate, taylor_jet
+from synclab.integrate import IntegrationError, Trajectory, integrate, taylor_jet
 from synclab.model import (
     GalileanShift,
     PhaseState,
@@ -299,44 +300,82 @@ def test_defect_bound_flags_a_corrupted_coupling_model():
     assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
 
 
-def test_defect_bound_flags_a_bump_between_dop853_grid_points():
-    # a bump on theta_0 (and its rate on omega_0) inside one cell only; the
-    # cell is shorter than m, so the bound hands on at most 1 - e^{-h/m} of
-    # the cell's defect to the next cell, and only this cell reads above gate
-    m = 1.0
-    p = SystemParams(2, m, 1.0, [0.05, -0.05])
-    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-10)
-    assert traj.method == "exp"
-    gate = 50 * traj.tol
-    widths = np.diff(traj.grid)
-    k = int(np.argmin(widths[1:-1])) + 1
-    assert widths[k] < 0.3 * m
-    center, width = traj.grid[k] + 0.5 * widths[k], 0.25 * widths[k]
-    amp = 2.0 * gate * width**2 / (8.0 * m)  # m b'' peaks at twice the gate
-
+def _bump(center, width, amp):
+    """b, b' and b'' of amp (1 - x^2)^4, x = (t - center) / width."""
     def bump(ts):
-        """b, b' and b'' of amp (1 - x^2)^4, x = (t - center) / width."""
         x = (np.asarray(ts) - center) / width
         u = np.clip(1.0 - x**2, 0.0, None)
         return (amp * u**4, -8.0 * amp * x * u**3 / width,
                 -8.0 * amp * u**2 * (1.0 - 7.0 * x**2) / width**2)
 
+    return bump
+
+
+def _bumped(eval_with_model, m, bump):
+    """eval_with_model with a bump b added to theta_0 and its rate b' to omega_0."""
+    def bumped(ts, cells=None):
+        # the bumped omega relaxes to g + m b'' + b', which the bound reads
+        th, om, g = eval_with_model(ts, cells)
+        first = np.eye(th.shape[1])[0]
+        b, db, d2b = bump(ts)
+        return (th + np.outer(b, first), om + np.outer(db, first),
+                g + np.outer(m * d2b + db, first))
+
+    return bumped
+
+
+def _level4_bump(grid, m, k, peak):
+    """A bump on cell k whose m b'' peaks at `peak`, seen by no level-3 node.
+
+    It is centred on an odd sixteenth of the cell, a node of the defect bound
+    new at level 4, and is a 32nd of the cell wide, so it vanishes at the
+    even sixteenths; of those centres it takes the one farthest from the
+    cell's layer nodes m/10 * 2^j.
+    """
+    h = grid[k + 1] - grid[k]
+    odd = np.arange(1, 16, 2) / 16.0
+    layer = np.minimum(m / 10.0 * 2.0 ** np.arange(64), h) / h
+    gap = np.abs(odd[:, None] - layer).min(axis=1)
+    assert gap.max() > 1.0 / 32.0
+    width = h / 32.0
+    return _bump(grid[k] + odd[np.argmax(gap)] * h, width, peak * width**2 / (8.0 * m))
+
+
+def _bumped_run():
+    m = 1.0
+    p = SystemParams(2, m, 1.0, [0.05, -0.05])
+    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 12.0, 1e-10)
+    assert traj.method == "exp"
+    widths = np.diff(traj.grid)
+    k = int(np.argmin(widths[1:-1])) + 1
+    assert widths[k] < 0.3 * m
+    return p, traj, k, 50 * traj.tol
+
+
+def test_defect_bound_flags_a_bump_between_dop853_grid_points():
+    # a bump on theta_0 (and its rate on omega_0) inside one cell only; the
+    # cell is shorter than m, so the bound hands on at most 1 - e^{-h/m} of
+    # the cell's defect to the next cell, and only this cell reads above gate
+    p, traj, k, gate = _bumped_run()
+    m, width = p.inertia_m, 0.25 * (traj.grid[k + 1] - traj.grid[k])
+    bump = _bump(0.5 * (traj.grid[k] + traj.grid[k + 1]), width,
+                 2.0 * gate * width**2 / (8.0 * m))  # m b'' peaks at twice the gate
     assert not np.any(bump(traj.grid)[0])  # every grid value stays as it was
-
-    class Bumped:
-        grid = traj.grid
-
-        @staticmethod
-        def eval_with_model(ts, cells):
-            # the bumped omega relaxes to g + m b'' + b', which the bound reads
-            th, om, g = traj.eval_with_model(ts, cells)
-            first = np.array([1.0, 0.0])
-            b, db, d2b = bump(ts)
-            return (th + np.outer(b, first), om + np.outer(db, first),
-                    g + np.outer(m * d2b + db, first))
-
-    bound = model._defect_bound(p, Bumped(), gate)
+    bumped = SimpleNamespace(grid=traj.grid, eval_with_model=_bumped(traj.eval_with_model, m, bump))
+    bound = model._defect_bound(p, bumped, gate)
     assert np.flatnonzero(bound.max(axis=1) > gate).tolist() == [k + 1]
+
+
+def test_defect_bound_is_unresolved_by_a_bump_only_level_4_sees():
+    # a defect of half the gate on one node new at level 4: the sup there
+    # exceeds the level-3 sup by more than gate/10, which the one-level bound
+    # cannot resolve
+    p, traj, k, gate = _bumped_run()
+    bump = _level4_bump(traj.grid, p.inertia_m, k, 0.5 * gate)
+    bumped = SimpleNamespace(grid=traj.grid,
+                             eval_with_model=_bumped(traj.eval_with_model, p.inertia_m, bump))
+    assert model._defect_bound(p, traj, gate) is not None
+    assert model._defect_bound(p, bumped, gate) is None
 
 
 def test_defect_bound_flags_a_jump_at_a_grid_point():
@@ -370,8 +409,15 @@ def _check_falls_back(monkeypatch, fallback, m):
         return np.ones((len(traj.grid), params.n))
 
     with monkeypatch.context() as patch:
-        if fallback == "level_cap":  # no level to refine to: every cell is unresolved
-            patch.setattr(model, "_DEFECT_LEVELS", (3, 3))
+        if fallback == "level_cap":  # one cell unresolved at the bound's one level
+            read = Trajectory.eval_with_model
+
+            def unresolved(self, ts, cells=None):
+                k = len(self.grid) // 2
+                bump = _level4_bump(self.grid, m, k, 25 * self.tol)
+                return _bumped(lambda *a: read(self, *a), m, bump)(ts, cells)
+
+            patch.setattr(Trajectory, "eval_with_model", unresolved)
         else:
             patch.setattr(model, "_defect_bound", above_gate if fallback == "above_gate" else lambda *_: None)
         with pytest.raises(IntegrationError, match="certification failed"):
