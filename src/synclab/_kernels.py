@@ -3,15 +3,17 @@
 Everything stiff in this package reduces to integrals of the form
 
     M_p(s) = int_0^s u^p exp(-(s-u)/m) du,
-    J_p(s) = int_0^s u^p (1 - exp(-(s-u)/m)) du = s^(p+1)/(p+1) - M_p(s),
+    J_p(s) = int_0^s u^p (1 - exp(-(s-u)/m)) du = M_{p+1}(s) / (m (p+1)),
 
-with a polynomial factor u^p coming from a local polynomial model of the
-smooth (non-stiff) part of the integrand.  Computing these moments in closed
-form keeps the quadrature error independent of the stiffness ratio s/m.
+the last by parts, with a polynomial factor u^p coming from a local
+polynomial model of the smooth (non-stiff) part of the integrand.  Computing
+these moments in closed form keeps the quadrature error independent of the
+stiffness ratio s/m.
 
 `relaxation_weights` is the one entry point: taken against the powers of
 u/h in a cell of width h, the moments are the phi-functions of Hochbruck &
-Ostermann (Acta Numerica 19, 2010).  They weigh the exp stepper's degree-6
+Ostermann (Acta Numerica 19, 2010), and one table M_0 .. M_{q+1} gives
+every weight of a degree-q model.  They weigh the exp stepper's degree-6
 coupling model and, at degree 3, the cubic Hermite model of
 `hermite_cell_integrals`; at m = 0 they are their limits m -> 0,
 M_p/m -> s^p and J_p -> s^(p+1)/(p+1), which make the stepper classical
@@ -29,22 +31,20 @@ import math
 
 import numpy as np
 
-# Below a per-order switch in z = s/m the recurrences cancel catastrophically
+# Below a per-order switch in z = s/m the recurrence cancels catastrophically
 # (relative error ~ eps / z^(p+1)); there a Taylor series in z takes over:
-#   M_p = s^(p+1) * sum_{j>=0} (-z)^j p!/(p+j+1)!,
-#   J_p = -s^(p+1) * sum_{j>=1} (-z)^j p!/(p+j+1)!.
+#   M_p = s^(p+1) * sum_{j>=0} (-z)^j p!/(p+j+1)!.
 # The recurrence amplifies rounding by about p!/z^p, so the switch rises with
 # the order; the series has no cancellation below z = p + 2, and with 20 terms
 # it stays within a few ulp up to z = 2.5 for the orders that use it there.
 _MAX_ORDER = 6  # the degree of the exp stepper's coupling model
 _SERIES_TERMS = 20
-_SWITCH_M = (0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0)  # M_0 = -m expm1(-z) never cancels
-_SWITCH_J = (0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5)
-# Row j holds the coefficients of (-z)^j of every order's series: p!/(p+j+1)!
-# for M_p / s^(p+1), then p!/(p+j+2)! for J_p / (z s^(p+1)).
+# One switch per order of M_0 .. M_7 (M_0 = -m expm1(-z) never cancels);
+# J_p reads M_{p+1}, and with it order p + 1's switch.
+_SWITCH = np.array([0.0, 0.01, 0.1, 0.5, 1.0, 1.5, 2.0, 2.5])
+# Row j holds the coefficient of (-z)^j of every order's series, p!/(p+j+1)!.
 _COEF = np.array([
-    [math.factorial(p) / math.factorial(p + j + 1 + k)
-     for k in (0, 1) for p in range(_MAX_ORDER + 1)]
+    [math.factorial(p) / math.factorial(p + j + 1) for p in range(_MAX_ORDER + 2)]
     for j in range(_SERIES_TERMS)
 ])
 _CHAIN_SPAN = 100.0  # kernel widths per block of relaxation_convolution
@@ -54,47 +54,38 @@ def relaxation_weights(s, h, m: float, degree: int):
     """e^{-s/m} and M_0(s) (Q,), and M_p(s)/(m h^p) and J_p(s)/h^p, (degree + 1, Q).
 
     s (Q,) are offsets into cells of width h, a scalar or one per offset.
-    Above an order's switch in z = s/m the moments come from the recurrence
-    M_p = m (s^p - p M_{p-1}), below it from the series, whose orders share
-    one Horner pass.  At m = 0 they are the limits m -> 0 for s > 0:
-    e^{-s/m} -> 0, M_0 -> 0, M_p/m -> s^p and J_p -> s^(p+1)/(p+1), and at
-    s = 0 too, as the cell-start omega they drop is slaved to the model there.
+    The table M_0 .. M_{degree+1} comes from the recurrence
+    M_p = m (s^p - p M_{p-1}) above each order's switch in z = s/m, and below
+    it from the series, whose orders share one product; J_p = M_{p+1}/(m (p+1)).
+    At m = 0 they are the limits m -> 0 for s > 0: e^{-s/m} -> 0, M_0 -> 0,
+    M_p/m -> s^p and J_p -> s^(p+1)/(p+1), and at s = 0 too, as the
+    cell-start omega they drop is slaved to the model there.
     """
     if not 0 <= degree <= _MAX_ORDER:
         raise ValueError(f"moment order must lie in 0..{_MAX_ORDER}")
     s = np.asarray(s, dtype=float)
+    orders = np.arange(degree + 2.0)[:, None]
     if m == 0.0:
-        rate = (s / h) ** np.arange(degree + 1.0)[:, None]
-        zero = np.zeros_like(s)
-        return zero, zero, rate, rate * s / np.arange(1.0, degree + 2.0)[:, None]
-    z = s / m
-    mom = [-m * np.expm1(-z)]
-    # far below an order's switch its recurrence can overflow, as the rounding
-    # of M_0 grows by m per order; the series below replaces those entries
-    with np.errstate(over="ignore"):
-        for p in range(1, degree + 1):
-            mom.append(m * (s**p - p * mom[-1]))
-    jom = [s ** (p + 1) / (p + 1) - mom[p] for p in range(degree + 1)]
-    below = z < _SWITCH_J[degree]
-    if below.any():
-        small = slice(None) if below.all() else np.flatnonzero(below)
-        zs, lead = z[small], s[small]
-        # the orders whose switch some entry lies below
-        orders = [p for p in range(degree + 1) if zs.min() < _SWITCH_M[p]]
-        orders_j = [p for p in range(degree + 1) if zs.min() < _SWITCH_J[p]]
-        cols = np.array(orders + [_MAX_ORDER + 1 + p for p in orders_j], dtype=int)
-        acc, neg = _COEF[-1, cols, None], -zs
-        for row in _COEF[-2::-1, cols, None]:
-            acc = acc * neg + row
-        for k, p in enumerate(orders):
-            series = lead ** (p + 1) * acc[k]
-            mom[p][small] = np.where(zs < _SWITCH_M[p], series, mom[p][small])
-        for k, p in enumerate(orders_j, start=len(orders)):
-            series = lead ** (p + 1) * zs * acc[k]
-            jom[p][small] = np.where(zs < _SWITCH_J[p], series, jom[p][small])
-    scale = np.asarray(h, dtype=float) ** -np.arange(degree + 1.0)[:, None]
-    mom = np.asarray(mom) * scale
-    return np.exp(-s / m), mom[0], mom / m, np.asarray(jom) * scale
+        decay = mom0 = np.zeros_like(s)
+        rate = (s / h) ** orders
+    else:
+        z = s / m
+        mom = [-m * np.expm1(-z)]
+        # far below an order's switch its recurrence can overflow, as the
+        # rounding of M_0 grows by m per order; the series replaces those entries
+        with np.errstate(over="ignore"):
+            for p in range(1, degree + 2):
+                mom.append(m * (s**p - p * mom[-1]))
+        mom = np.asarray(mom)
+        below = np.flatnonzero(z < _SWITCH[degree + 1])
+        if below.size:
+            zs = z[below]
+            sums = np.vander(-zs, _SERIES_TERMS, increasing=True) @ _COEF[:, : degree + 2]
+            series = s[below] ** (orders + 1) * sums.T
+            mom[:, below] = np.where(zs < _SWITCH[: degree + 2, None], series, mom[:, below])
+        decay, mom0 = np.exp(-z), mom[0]
+        rate = mom * h**-orders / m
+    return decay, mom0, rate[:-1], h * rate[1:] / orders[1:]
 
 
 def hermite_cell_integrals(f0, df0, f1, df1, d, m: float):

@@ -116,6 +116,8 @@ class ScenarioConfig:
             value = getattr(self, name)
             if value is not None and value < 0:
                 raise ConfigError(f"{name} must be nonnegative")
+        if not (0.0 < self.window_fraction < 1.0):
+            raise ConfigError("window_fraction must lie in (0, 1)")
         if not (1e-13 <= self.tol <= 1e-3):
             raise ConfigError("tol must lie in [1e-13, 1e-3]")
         if self.init_mode not in ("random", "explicit", "bipolar"):

@@ -486,8 +486,8 @@ def compare_trajectories(
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
     the consecutive sup-gap ratios used for the linear-in-m verdict.
     """
-    if len(m_list) == 0 or list(m_list) != sorted(m_list, reverse=True) or min(m_list) <= 0:
-        raise ValueError("m_list must be nonempty, positive and descending")
+    if len(m_list) == 0 or min(m_list) <= 0 or any(a <= b for a, b in zip(m_list, m_list[1:])):
+        raise ValueError("m_list must be nonempty, positive and strictly descending")
     slack = SLACK_FACTOR * tol
 
     params0 = SystemParams(params_base.n, 0.0, params_base.coupling_kappa, params_base.nat_freq)

@@ -290,6 +290,8 @@ def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsy
         # the c1 checks read t >= 5 m, past a horizon of 0.1 at m = 0.1
         ("horizon=0.1", "bound check c1_abs has no times"),
         ("m_list=[]", "m_list must be nonempty"),
+        # a repeated m ran, duplicated its check names and exited 1
+        ("m_list=[0.1,0.1]", "strictly descending"),
     ],
 )
 def test_empty_bound_checks_exit_2_with_their_own_line(override, message, tmp_path, capsys):
@@ -298,6 +300,15 @@ def test_empty_bound_checks_exit_2_with_their_own_line(override, message, tmp_pa
     assert len(err) == 1
     assert err[0].startswith("error: config:")
     assert message in err[0]
+
+
+@pytest.mark.parametrize("fraction", ["0", "1", "-0.5"])
+def test_window_fraction_outside_the_unit_interval_exits_2(fraction, tmp_path, capsys):
+    # a zero-width window read R 401 times at one instant and exited 0
+    assert run_cli(["probe", "--set", f"window_fraction={fraction}", "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: config: window_fraction must lie in (0, 1)"]
+    assert not (tmp_path / "o").exists()
 
 
 def test_validate_rejects_bad_cluster_indices():

@@ -117,7 +117,7 @@ def _panel_oracle(s: float, m: float, p: int) -> tuple[float, float]:
     return mp, jp
 
 
-_SWITCHES = sorted({w for w in _kernels._SWITCH_M + _kernels._SWITCH_J if w > 0})
+_SWITCHES = [float(w) for w in _kernels._SWITCH if w > 0]
 
 
 @settings(deadline=None, max_examples=150)
