@@ -4,7 +4,6 @@ from .integrate import IntegrationError, TaylorJet, Trajectory, first_zero, inte
 from .model import GalileanShift, PhaseState, SystemParams
 from .observables import ClusterSpec, LockCertificate, lock_certificate, order_parameter
 from .reconstruct import (
-    GridFunction,
     ReconstructionResult,
     contraction_horizon,
     determinability_threshold,
@@ -18,7 +17,6 @@ __all__ = [
     "BoundCheck",
     "ClusterSpec",
     "GalileanShift",
-    "GridFunction",
     "IntegrationError",
     "LockCertificate",
     "PhaseState",

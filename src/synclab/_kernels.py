@@ -13,16 +13,16 @@ stiffness ratio s/m.
 `relaxation_weights` is the one entry point: taken against the powers of
 u/h in a cell of width h, the moments are the phi-functions of Hochbruck &
 Ostermann (Acta Numerica 19, 2010), and one table M_0 .. M_{q+1} gives
-every weight of a degree-q model.  They weigh the exp stepper's degree-6
-coupling model and, at degree 3, the cubic Hermite model of
-`hermite_cell_integrals`; at m = 0 they are their limits m -> 0,
-M_p/m -> s^p and J_p -> s^(p+1)/(p+1), which make the stepper classical
-collocation.  `relaxation_convolution` chains the Hermite cells into 1/m
-times the convolution of the kernel with a piecewise cubic Hermite model,
-the one integral behind both the exact velocity residual and the velocity
-reconstruction map; `relaxation_chain` is the node-to-node recurrence under
-it, which also carries the defect bound, the velocity certificate, from cell
-to cell.
+every weight of a degree-q model.  They weigh the degree-6 coupling models
+of the exp stepper's cells and of the velocity reconstruction's and, at
+degree 3, the cubic Hermite model of `hermite_cell_integrals`; at m = 0 they
+are their limits m -> 0, M_p/m -> s^p and J_p -> s^(p+1)/(p+1), which make
+the stepper classical collocation.  `relaxation_convolution` chains the
+Hermite cells into 1/m times the convolution of the kernel with a piecewise
+cubic Hermite model, the integral behind the exact velocity residual;
+`relaxation_chain` is the node-to-node recurrence under it, which also
+carries the defect bound, the velocity certificate, and the reconstruction's
+velocity from cell to cell.
 """
 
 from __future__ import annotations

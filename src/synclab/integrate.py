@@ -25,13 +25,13 @@ defect is the collocation error g - nu - c(theta) of each cell's model g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable
 
 import numpy as np
 
 from . import model as _model
-from ._kernels import relaxation_weights
+from ._kernels import relaxation_chain, relaxation_weights
 from .model import PhaseState, SystemParams, rhs_first_order
 
 __all__ = [
@@ -92,8 +92,9 @@ _NEWTON_GROWTH = 4  # a step that needed more Newton iterations does not grow th
 class Trajectory:
     """Time grid, per-grid states, and dense output over [0, horizon].
 
-    Cell k is one exp step of width _hs[k] from grid[k], theta_grid[k] and
-    omega_grid[k] (of weight 0 at m = 0), under the coupling model
+    Cell k is one exp step (a reconstruction's "picard" iterates refit it) of
+    width _hs[k] from grid[k], theta_grid[k] and omega_grid[k] (of weight 0 at
+    m = 0), under the coupling model
     g(s) = sum_p _coefs[k, p] (s/h)^p, nu in the constant term, to which its
     dense omega relaxes exactly.  `duhamel_sup` (None for m = 0) bounds the
     velocity residual that certified the trajectory against the 50 * tol gate.
@@ -176,6 +177,48 @@ def _relax(theta0, omega0, coefs, weights):
     return theta, omega
 
 
+def _fit(g0, x, nat_freq):
+    """The c model through g0 (..., n) at node 0 and x (..., _DEGREE, n) after it, and nu + c.
+
+    Their monomial coefficients (..., _DEGREE + 1, n) amplify the rounding of
+    what they fit up to 7e3 times, so they fit the change from node 0.
+    """
+    coef_c = _VINV[:, 1:] @ (x - g0[..., None, :])
+    coef_c[..., 0, :] += g0
+    coef = coef_c.copy()
+    coef[..., 0, :] += nat_freq
+    return coef_c, coef
+
+
+def _relax_cells(cells, coefs, omega0, theta_end):
+    """The uncertified "picard" trajectory on the cells of `cells` under the g models `coefs`.
+
+    Its omega relaxes exactly from omega0 cell after cell, and its theta, the
+    integral of omega, is accumulated from theta_end at the right end.
+    """
+    grid, hs, m = cells.grid, cells._hs, cells.params.inertia_m
+    weights = relaxation_weights(hs, hs, m, _DEGREE)
+    rows = coefs.transpose(1, 0, 2)  # one (cells, n) row per order
+    _, gain = _relax(0.0, 0.0, rows, weights)  # the omega each cell adds from rest
+    omega = np.exp(-grid / m)[:, None] * omega0 + relaxation_chain(grid, gain, m)
+    rise, _ = _relax(0.0, omega[:-1], rows, weights)  # theta(t_{k+1}) - theta(t_k)
+    theta = theta_end - np.cumsum(np.vstack([rise, np.zeros_like(omega0)])[::-1], axis=0)[::-1]
+    return Trajectory(cells.params, grid, theta, omega, cells.tol, "picard", None, hs, coefs)
+
+
+def _certified(traj):
+    """traj with the sup of `model._defect_bound`; IntegrationError if unresolved or > 50 * tol."""
+    gate = CERTIFICATION_FACTOR * traj.tol
+    with np.errstate(all="ignore"):
+        bound = _model._defect_bound(traj.params, traj, gate)
+    if bound is None:
+        raise IntegrationError("certification failed: defect bound unresolved")
+    sup = float(bound.max())
+    if not sup <= gate:  # a NaN bound fails too
+        raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
+    return replace(traj, duhamel_sup=sup)
+
+
 class _Collocation:
     """One exp step's linear algebra at a step size h, for a Jacobian frozen at its start.
 
@@ -247,12 +290,7 @@ def _collocate(params, theta, omega, g0, h, prev, limit):
             return None
     else:
         return None
-    # the monomial coefficients amplify the rounding of what they fit up to
-    # 7e3 times, so they fit the change from node 0, which is small on short steps
-    coef_c = _VINV[:, 1:] @ (x - g0)
-    coef_c[0] += g0
-    coef = coef_c.copy()
-    coef[0] += params.nat_freq
+    coef_c, coef = _fit(g0, x, params.nat_freq)
     th, om = _relax(theta, omega, coef, [w[..., _CHECK] for w in col.weights])
     c = _model.coupling_term(params, th)  # at the midpoints and the step end
     defect = float(np.max(np.abs(_MID_POWERS @ coef_c - c[:-1]))) / limit
@@ -350,19 +388,10 @@ def integrate(
     # step, a step-size underflow or a bound that fails the gate below.
     with np.errstate(all="ignore"):
         grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, step_tol)
-        sup = None
         if slaved:
             om = rhs_first_order(params, th)  # what the dense output reads at each cell start
-        else:
-            gate = CERTIFICATION_FACTOR * tol
-            traj = Trajectory(params, grid, th, om, tol, "exp", None, hs, coefs)
-            bound = _model._defect_bound(params, traj, gate)
-            if bound is None:
-                raise IntegrationError("certification failed: defect bound unresolved")
-            sup = float(bound.max())
-            if not sup <= gate:  # a NaN bound fails too
-                raise IntegrationError(f"certification failed: residual {sup:.3e} > {gate:.3e}")
-    return Trajectory(params, grid, th, om, tol, "exp", sup, hs, coefs)
+    traj = Trajectory(params, grid, th, om, tol, "exp", None, hs, coefs)
+    return traj if slaved else _certified(traj)
 
 
 @dataclass(frozen=True)

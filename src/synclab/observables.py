@@ -103,18 +103,20 @@ def variance(x: Sequence[float]) -> float:
     return float(np.mean((arr - arr.mean()) ** 2))
 
 
-def mismatch_l2(theta: Sequence[float], phi: Sequence[float]) -> float:
-    """sqrt(sum_{i<j} ((theta_i - phi_i) - (theta_j - phi_j))^2).
+def mismatch_l2(theta: np.ndarray, phi: np.ndarray) -> float | np.ndarray:
+    """sqrt(sum_{i<j} ((theta_i - phi_i) - (theta_j - phi_j))^2) over the last axis.
 
-    Vanishes exactly when theta - phi is a constant vector.
+    Vanishes exactly when theta - phi is a constant vector.  Takes (..., n)
+    arrays; a float for 1-d input, else an array of shape (...).
     """
     a = np.asarray(theta, dtype=float)
     b = np.asarray(phi, dtype=float)
     if a.shape != b.shape:
         raise ValueError("length mismatch")
     d = a - b
-    e = d - d.mean()  # centered form: sum_{i<j}(d_i-d_j)^2 = N * sum e^2
-    return math.sqrt(max(d.size * float(np.dot(e, e)), 0.0))
+    e = d - d.mean(axis=-1, keepdims=True)  # N sum e^2; N sum d^2 - (sum d)^2 cancels
+    out = np.sqrt(d.shape[-1] * (e * e).sum(axis=-1))
+    return float(out) if out.ndim == 0 else out
 
 
 def xi_functional(m: float, kappa: float, nu_a, omega0_a, eta: float) -> float:

@@ -7,11 +7,13 @@ Given theta(t0) and omega(0) of the inertial system, the velocity history on
       + (k/(N m)) sum_l int_0^t e^{-(t-s)/m}
             sin( theta_l(t0) - theta_i(t0) - int_s^{t0} (w_l - w_i) dtau ) ds,
 
-which contracts in the channelwise sup norm whenever
-t0 < max(1/(2k), sqrt(m/k)).  Past the determinability threshold
-T*(kappa, m) the data (theta(t*), omega(0)) no longer pins down omega(t*):
-a bipolar two-group configuration and its mirror image collide at t* with
-opposite velocity patterns.
+which contracts in the channelwise sup norm with L = min(2 k t0, k t0^2 / m)
+whenever t0 < max(1/(2k), sqrt(m/k)).  Iterated on the cells of an exp-stepper
+trajectory, its last iterate is a certified `Trajectory` whose velocity
+residual is w - F(w), so sup |w - w*| <= sup |w - F(w)| / (1 - L).  Past the
+determinability threshold T*(kappa, m) the data (theta(t*), omega(0)) no
+longer pins down omega(t*): a bipolar two-group configuration and its mirror
+image collide at t* with opposite velocity patterns.
 """
 
 from __future__ import annotations
@@ -21,13 +23,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import relaxation_convolution
 from .integrate import IntegrationError, Trajectory, first_zero, integrate
-from .model import PhaseState, SystemParams, coupling_and_rate
+from .integrate import _DEGREE, _NODES, _certified, _fit, _relax_cells
+from .model import PhaseState, SystemParams, coupling_term
 from .observables import mismatch_l2
 
 __all__ = [
-    "GridFunction",
     "ReconstructionResult",
     "contraction_map",
     "lipschitz_constant",
@@ -42,88 +43,37 @@ __all__ = [
     "sturm_picone_tstar",
 ]
 
-MIN_STEPS = 256
 MAX_ITERATIONS = 200  # fixed-point sweeps of reconstruct_velocity before it gives up
 ZERO_TOL = 1e-8  # how close the counterexample's first zero must come to t_star
 COUNTEREXAMPLE_TOL = 1e-10  # integration tol of the counterexample's runs
-
-
-@dataclass(frozen=True)
-class GridFunction:
-    """N-channel function sampled on a uniform grid over [0, t0], sup metric."""
-
-    t0: float
-    values: np.ndarray  # (steps + 1, n)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", vals)
-        if vals.ndim != 2 or vals.shape[0] < 9:
-            raise ValueError("values must be (steps + 1, n) with steps >= 8")
-        if not (self.t0 > 0.0 and math.isfinite(self.t0)):
-            raise ValueError("t0 must be positive and finite")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("grid values must be finite")
-
-    @property
-    def steps(self) -> int:
-        return self.values.shape[0] - 1
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.t0, self.steps + 1)
-
-    def sup_distance(self, other: "GridFunction") -> float:
-        if other.values.shape != self.values.shape or other.t0 != self.t0:
-            raise ValueError("grid mismatch")
-        return float(np.abs(self.values - other.values).max())
+_NODE_POWERS = np.vander(_NODES, _DEGREE + 1, increasing=True)  # a cell model's node values
 
 
 @dataclass(frozen=True)
 class ReconstructionResult:
-    omega: GridFunction
+    omega: Trajectory  # the last iterate, certified; its theta ends at theta(t0)
     theta0: np.ndarray
     iterations: int
     final_residual: float
     empirical_contraction: float
-
-
-def default_steps(t0: float, m: float) -> int:
-    """Grid resolution resolving the exp(-(t-s)/m) kernel."""
-    return max(MIN_STEPS, int(math.ceil(20.0 * t0 / m)))
-
-
-def _cumulative_from_right(values: np.ndarray, dt: float) -> np.ndarray:
-    """W(t_k) = int_{t_k}^{t0} f dtau via piecewise-parabolic cells.
-
-    Cell [k, k+1] integrates the parabola through nodes (k-1, k, k+1)
-    (through (k, k+1, k+2) for the first cell), then accumulates from the
-    right end, where W = 0.
-    """
-    kk = values.shape[0] - 1
-    cell = np.empty_like(values[:-1])
-    # interior cells: (dt/12) * (-f_{k-1} + 8 f_k + 5 f_{k+1})
-    cell[1:] = (dt / 12.0) * (-values[:-2] + 8.0 * values[1:-1] + 5.0 * values[2:])
-    cell[0] = (dt / 12.0) * (5.0 * values[0] + 8.0 * values[1] - values[2])
-    out = np.zeros_like(values)
-    out[:-1] = cell[::-1].cumsum(axis=0)[::-1]
-    return out
+    error_bound: float  # on sup |omega - omega*| over [0, t0]: duhamel_sup / (1 - L)
 
 
 def contraction_map(
     params: SystemParams,
     omega0: np.ndarray,
     theta_star: np.ndarray,
-    omega_star: GridFunction,
-) -> GridFunction:
+    omega_star: Trajectory,
+) -> Trajectory:
     """One application of the velocity-history map F (see module docstring).
 
-    The inner phase integral uses the piecewise-parabolic cumulative rule on
-    the grid; the outer relaxation integral is exact against the cubic
-    Hermite model of the coupling (values and exact slopes at the nodes).
+    The iterate w lives on the cells of `omega_star`.  Its theta, integrated
+    back from theta_star at t0, is theta(s) = theta_star - int_s^{t0} w; the
+    coupling c(theta) at each cell's Chebyshev-Lobatto nodes gives the cell's
+    new degree-6 model, and omega relaxes exactly from omega0 through the new
+    models.  That is F with c replaced by its interpolant on each cell.
     """
-    m = params.inertia_m
-    if m <= 0.0:
+    if params.inertia_m <= 0.0:
         raise ValueError("contraction map requires m > 0")
     n = params.n
     omega0 = np.asarray(omega0, dtype=float)
@@ -131,16 +81,12 @@ def contraction_map(
     if omega0.shape != (n,) or theta_star.shape != (n,):
         raise ValueError("omega0 and theta_star must have n entries")
 
-    w = omega_star.values
-    t = omega_star.times
-    big_w = _cumulative_from_right(w, omega_star.t0 / omega_star.steps)
-    # theta(s) = theta*(t0) - int_s^{t0} w dtau, so theta'(s) = w(s)
-    g, dg = coupling_and_rate(params, theta_star[None, :] - big_w, w)
-    conv = relaxation_convolution(t, g, dg, m)
-
-    e = np.exp(-t / m)[:, None]
-    out = omega0[None, :] * e + params.nat_freq[None, :] * (1.0 - e) + conv
-    return GridFunction(omega_star.t0, out)
+    ts = omega_star.grid[:-1, None] + omega_star._hs[:, None] * _NODES  # every cell's nodes
+    theta, _ = omega_star.eval_many(ts.ravel(), np.repeat(np.arange(len(ts)), _DEGREE + 1))
+    theta += theta_star - omega_star.theta_grid[-1]  # theta(s) = theta_star - int_s^{t0} w
+    c = coupling_term(params, theta).reshape(-1, _DEGREE + 1, n)
+    _, coefs = _fit(c[:, 0], c[:, 1:], params.nat_freq)
+    return _relax_cells(omega_star, coefs, omega0, theta_star)
 
 
 def lipschitz_constant(kappa: float, m: float, t0: float) -> float:
@@ -164,29 +110,31 @@ def reconstruct_velocity(
     t0: float,
     tol: float = 1e-10,
 ) -> ReconstructionResult:
-    """Fixed-point iteration of F on the `default_steps(t0, m)` grid from the
-    constant guess w(t) = omega0, at most MAX_ITERATIONS sweeps.
+    """Fixed-point iteration of F from the velocity history of a forward run.
 
-    Stops when the sup-norm step falls below tol (or tol/10 relatively);
-    recovers the initial phases from theta(t) = theta*(t0) - int_t^{t0} w.
+    The first iterate is the run `integrate` makes with tol from
+    (theta_star - omega0 t0, omega0) over [0, t0]; its error control picks the
+    cells, layer included, on which every later iterate lives.  At most
+    MAX_ITERATIONS sweeps; they stop when the step, the largest change of the
+    coupling models at the cell nodes (the velocities relax from omega0
+    through it), falls below tol (or tol/10 relatively).  The last iterate is
+    certified like an integrated run (IntegrationError when its bound misses
+    50 * tol); its theta at t = 0 are the recovered initial phases.
     """
-    m = params.inertia_m
-    if t0 >= contraction_horizon(params.coupling_kappa, m):
+    kappa, m = params.coupling_kappa, params.inertia_m
+    if t0 >= contraction_horizon(kappa, m):
         raise ValueError("t0 must be below the contraction horizon")
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
-    steps = default_steps(t0, m)
-
     omega0 = np.asarray(omega0, dtype=float)
-    current = GridFunction(t0, np.tile(omega0, (steps + 1, 1)))
+    theta_star = np.asarray(theta_star, dtype=float)
+
+    current = integrate(params, PhaseState(0.0, theta_star - omega0 * t0, omega0), t0, tol)
     steps_hist: list[float] = []
-    scale = max(1.0, float(np.abs(omega0).max()))
+    stop = tol * max(1.0, float(np.abs(omega0).max()) / 10.0)
     for it in range(1, MAX_ITERATIONS + 1):
         new = contraction_map(params, omega0, theta_star, current)
-        step = new.sup_distance(current)
-        steps_hist.append(step)
+        steps_hist.append(float(np.abs(_NODE_POWERS @ (new._coefs - current._coefs)).max()))
         current = new
-        if step < tol or step < tol / 10.0 * scale:
+        if steps_hist[-1] < stop:
             break
     else:
         raise IntegrationError(
@@ -194,21 +142,15 @@ def reconstruct_velocity(
             f"{steps_hist[-5:]}"
         )
 
-    ratios = [
-        steps_hist[k + 1] / steps_hist[k]
-        for k in range(len(steps_hist) - 1)
-        if steps_hist[k] > 10.0 * tol
-    ]
-    contraction = max(ratios) if ratios else 0.0
-    dt = t0 / steps
-    big_w = _cumulative_from_right(current.values, dt)
-    theta_rec = np.asarray(theta_star, dtype=float)[None, :] - big_w
+    ratios = [b / a for a, b in zip(steps_hist, steps_hist[1:]) if a > 10.0 * tol]
+    current = _certified(current)
     return ReconstructionResult(
         omega=current,
-        theta0=theta_rec[0],
+        theta0=current.theta_grid[0],
         iterations=it,
         final_residual=steps_hist[-1],
-        empirical_contraction=contraction,
+        empirical_contraction=max(ratios) if ratios else 0.0,
+        error_bound=current.duhamel_sup / (1.0 - lipschitz_constant(kappa, m, t0)),
     )
 
 
@@ -421,17 +363,13 @@ def sturm_picone_monitor(
     ts = np.linspace(0.0, horizon, 4001)
     th_a, _ = traj_a.eval_many(ts)
     th_b, _ = traj_b.eval_many(ts)
-    d = th_a - th_b
-    nn = d.shape[1]
-    l_vals = np.sqrt(np.maximum(nn * (d**2).sum(axis=1) - d.sum(axis=1) ** 2, 0.0))
+    l_vals = mismatch_l2(th_a, th_b)
 
     tstar = sturm_picone_tstar(m, 1.0, kappa)
     floor = 1e-7 * l0
 
     def lfun(t: float) -> float:
-        a, _ = traj_a.eval_many(np.array([t]))
-        b, _ = traj_b.eval_many(np.array([t]))
-        return mismatch_l2(a[0], b[0])
+        return mismatch_l2(traj_a.eval_many([t])[0][0], traj_b.eval_many([t])[0][0])
 
     def refine_min(lo: float, hi: float) -> tuple[float, float]:
         for _ in range(200):

@@ -3,6 +3,17 @@
 from __future__ import annotations
 
 import time
+import warnings
+
+# A failing hypothesis test makes hypothesis's pytest plugin import
+# hypothesis.extra._patching, whose libcst import warns that
+# mypy_extensions.TypedDict is deprecated.  pyproject.toml turns that warning
+# into an error inside a pytest hook, which ends the session in INTERNALERROR
+# and leaves every later test unreported.  Imported here once, with that
+# warning ignored, the module is already loaded when a test fails.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 import numpy as np
 import pytest

@@ -131,8 +131,8 @@ def test_criterion_04_reconstruction_round_trip(residual_registry):
     th_t0, _ = traj.eval_many(np.array([t0]))
 
     res = reconstruct_velocity(params, omega0, th_t0[0], t0, tol=1e-9)
-    _, om_true = traj.eval_many(res.omega.times)
-    err_omega = float(np.abs(res.omega.values - om_true).max())
+    ts = np.linspace(0.0, t0, 2001)
+    err_omega = float(np.abs(res.omega.eval_many(ts)[1] - traj.eval_many(ts)[1]).max())
     err_theta0 = float(np.abs(res.theta0 - theta0).max())
     lip = lipschitz_constant(kappa, m, t0)
     wall = time.perf_counter() - t_start
@@ -143,10 +143,13 @@ def test_criterion_04_reconstruction_round_trip(residual_registry):
     assert res.empirical_contraction <= lip + 0.05
     assert res.iterations <= 60
     assert wall < 5.0
+    assert res.omega.duhamel_sup <= 50 * 1e-9
+    assert err_omega <= res.error_bound
     residual_registry.append(("reconstruction_forward", traj.duhamel_sup, sim_tol))
     print(
         f"[criterion 04] PASS round-trip err_omega={err_omega:.2e} err_theta0={err_theta0:.2e} "
-        f"contraction={res.empirical_contraction:.3f} iters={res.iterations}; wall={wall:.2f}s"
+        f"bound={res.error_bound:.2e} contraction={res.empirical_contraction:.3f} "
+        f"iters={res.iterations}; wall={wall:.2f}s"
     )
 
 

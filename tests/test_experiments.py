@@ -133,6 +133,18 @@ def test_identical_comparison_zero_spread_trivial():
     assert gap_check["passed"]
 
 
+def test_identical_comparison_gap_summary_reads_the_run():
+    # at tau = 0 the gap and its bound are both 0, so a summary taken there
+    # would read margin 0 at time 0 whatever nu is
+    gaps = []
+    for seed in (0, 1):
+        rep = run_identical_comparison(ScenarioConfig(seed=seed, n=2))
+        gap = [c for c in rep.checks if c["name"] == "identical_comparison_gap"][0]
+        assert gap["passed"] and gap["worst_time"] > 0.0
+        gaps.append(gap["margin_min"])
+    assert gaps[0] != gaps[1]
+
+
 def test_identical_comparison_bipolar_classification():
     cfg = ScenarioConfig(
         seed=1,

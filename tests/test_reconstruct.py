@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -10,14 +11,12 @@ from scipy.integrate import solve_ivp
 
 from synclab import model, reconstruct
 from synclab.cli import parse_and_dispatch
-from synclab.integrate import integrate
+from synclab.integrate import Trajectory, _relax_cells, integrate
 from synclab.model import PhaseState, SystemParams, coupling_term
 from synclab.reconstruct import (
-    GridFunction,
     contraction_horizon,
     contraction_map,
     counterexample_bipolar,
-    default_steps,
     determinability_threshold,
     first_relative_zero,
     lipschitz_constant,
@@ -64,12 +63,9 @@ def test_sturm_picone_tstar_matches_determinability():
             sturm_picone_tstar(1.0, bad, 1.0)
 
 
-def test_grid_function_validation():
-    with pytest.raises(ValueError):
-        GridFunction(1.0, np.zeros((5, 2)))
-    gf = GridFunction(1.0, np.zeros((9, 2)))
-    assert gf.steps == 8
-    assert gf.times[-1] == 1.0
+def _sup_omega_gap(a, b, t0):
+    ts = np.linspace(0.0, t0, 2001)
+    return float(np.abs(a.eval_many(ts)[1] - b.eval_many(ts)[1]).max())
 
 
 def test_contraction_map_single_oscillator_exact():
@@ -77,14 +73,19 @@ def test_contraction_map_single_oscillator_exact():
     m, kappa, nu, w0 = 0.3, 1.0, 0.6, 1.4
     params = SystemParams(1, m, kappa, [nu])
     t0 = 0.4
-    steps = default_steps(t0, m)
-    garbage = GridFunction(t0, np.sin(np.linspace(0, 7, steps + 1))[:, None] * 3.0)
+    grid = np.linspace(0.0, t0, 9)
+    zeros = np.zeros((9, 1))
+    cells = Trajectory(params, grid, zeros, zeros, 1e-10, "exp", None, np.diff(grid),
+                       np.zeros((8, 7, 1)))
+    coefs = np.random.default_rng(0).normal(0.0, 3.0, (8, 7, 1))
+    garbage = _relax_cells(cells, coefs, np.array([-2.0]), np.array([2.2]))
     out = contraction_map(params, np.array([w0]), np.array([2.2]), garbage)
-    t = out.times
+    t = np.linspace(0.0, t0, 2001)
     exact = w0 * np.exp(-t / m) + nu * (1 - np.exp(-t / m))
-    assert np.abs(out.values[:, 0] - exact).max() < 1e-14
-    # the map pins the initial value
-    assert out.values[0, 0] == pytest.approx(w0, abs=1e-15)
+    assert np.abs(out.eval_many(t)[1][:, 0] - exact).max() < 1e-14
+    # the map pins the initial value, and its theta ends at theta*
+    assert out.omega_grid[0, 0] == pytest.approx(w0, abs=1e-15)
+    assert out.theta_grid[-1, 0] == pytest.approx(2.2, abs=1e-15)
 
 
 def test_contraction_map_fixed_point_on_true_solution():
@@ -97,47 +98,62 @@ def test_contraction_map_fixed_point_on_true_solution():
     omega0 = nu + rng.normal(0, 0.3, n)
     t0 = 0.4
     traj = integrate(params, PhaseState(0.0, theta0, omega0), t0, 1e-11)
-    steps = default_steps(t0, 0.2)
-    grid_t = np.linspace(0, t0, steps + 1)
-    th_sim, om_sim = traj.eval_many(grid_t)
-    gf = GridFunction(t0, om_sim)
-    out = contraction_map(params, omega0, th_sim[-1], gf)
-    assert gf.sup_distance(out) < 1e-8
+    out = contraction_map(params, omega0, traj.theta_grid[-1], traj)
+    assert _sup_omega_gap(traj, out, t0) < 1e-8
 
 
 def test_contraction_map_lipschitz_on_random_pairs():
     params = SystemParams(4, 0.2, 1.0, [0.1, 0.05, -0.05, -0.1])
     t0 = 0.4
-    steps = default_steps(t0, 0.2)
     om0 = np.array([0.3, 0.1, -0.1, -0.3])
     th_star = np.array([0.5, 1.0, 1.5, 2.0])
+    cells = integrate(params, PhaseState(0.0, th_star - om0 * t0, om0), t0, 1e-10)
+    shape = cells._coefs.shape
     lip = lipschitz_constant(1.0, 0.2, t0)
     for k in range(20):
         rng = np.random.default_rng(k)
-        w1 = GridFunction(t0, rng.normal(0, 1, (steps + 1, 4)))
-        w2 = GridFunction(t0, w1.values + rng.normal(0, 0.5, (steps + 1, 4)))
-        num = contraction_map(params, om0, th_star, w1).sup_distance(
-            contraction_map(params, om0, th_star, w2)
+        c1 = rng.normal(0, 1, shape)
+        w1 = _relax_cells(cells, c1, om0, th_star)
+        w2 = _relax_cells(cells, c1 + rng.normal(0, 0.5, shape), om0, th_star)
+        num = _sup_omega_gap(
+            contraction_map(params, om0, th_star, w1), contraction_map(params, om0, th_star, w2), t0
         )
-        assert num <= (lip + 0.05) * w1.sup_distance(w2)
+        assert num <= (lip + 0.05) * _sup_omega_gap(w1, w2, t0)
 
 
-def test_reconstruct_round_trip():
+def _round_trip(m, tol):
     rng = np.random.default_rng(11)
     n = 4
     nu = rng.normal(0, 0.2, n)
     nu -= nu.mean()
-    params = SystemParams(n, 0.2, 1.0, nu)
+    params = SystemParams(n, m, 1.0, nu)
     theta0 = rng.uniform(0, 2 * np.pi, n)
     omega0 = nu + rng.normal(0, 0.3, n)
     t0 = 0.4
     traj = integrate(params, PhaseState(0.0, theta0, omega0), t0, 1e-11)
-    th_t0, _ = traj.eval_many(np.array([t0]))
-    res = reconstruct_velocity(params, omega0, th_t0[0], t0, tol=1e-10)
-    _, om_true = traj.eval_many(res.omega.times)
-    assert np.abs(res.omega.values - om_true).max() < 1e-8
-    assert np.abs(res.theta0 - theta0).max() < 1e-7
-    assert res.empirical_contraction <= lipschitz_constant(1.0, 0.2, t0) + 0.05
+    t_start = time.perf_counter()
+    res = reconstruct_velocity(params, omega0, traj.theta_grid[-1], t0, tol=tol)
+    wall = time.perf_counter() - t_start
+    return res, _sup_omega_gap(res.omega, traj, t0), float(np.abs(res.theta0 - theta0).max()), wall
+
+
+def test_reconstruct_round_trip():
+    res, err_omega, err_theta0, _ = _round_trip(0.2, 1e-10)
+    assert err_omega < 1e-8
+    assert err_theta0 < 1e-7
+    assert res.empirical_contraction <= lipschitz_constant(1.0, 0.2, 0.4) + 0.05
+    assert res.omega.duhamel_sup <= 50 * 1e-10
+    assert err_omega <= res.error_bound
+
+
+def test_reconstruct_small_inertia_is_cheap_and_bounded():
+    # the cells follow the dynamics, not t0/m: a uniform grid resolving m
+    # would take 20 t0/m = 80,000 steps here
+    res, err_omega, err_theta0, wall = _round_trip(1e-4, 1e-9)
+    assert wall < 0.1
+    assert len(res.omega.grid) < 50
+    assert err_omega <= res.error_bound < 1e-7
+    assert err_theta0 < 1e-8
 
 
 def test_reconstruct_single_oscillator_fast():
@@ -290,3 +306,24 @@ def test_monitor_small_inertia_stays_positive():
     assert out["tstar"] == math.inf
     assert out["positive_until_tstar"]
     assert out["min_l"] > 1e-3
+
+
+def test_monitor_curve_does_not_cancel_under_a_phase_offset():
+    # b starts 3 rad ahead of a with a 1e-7 twist: the two lock to the same
+    # profile, so L falls to 2e-9 while the mean of d stays near 3
+    params = SystemParams(3, 0.5, 1.0, [0.3, 0.0, -0.3])
+    theta0 = np.array([0.2, 1.1, 2.0])
+    omega0 = np.array([0.1, 0.0, -0.1])
+    a = integrate(params, PhaseState(0.0, theta0, omega0), 5.0, 1e-10)
+    b = integrate(params, PhaseState(0.0, theta0 + 3.0 + np.array([1e-7, 0.0, 0.0]), omega0),
+                  5.0, 1e-10)
+    out = sturm_picone_monitor(a, b, 1.0, 0.5)
+    th_a, _ = a.eval_many(out["times"])
+    th_b, _ = b.eval_many(out["times"])
+    direct = np.array([
+        math.sqrt(sum((da - db) ** 2 for i, da in enumerate(d) for db in d[i + 1 :]))
+        for d in th_a - th_b
+    ])
+    assert np.abs(out["l_values"] - direct).max() < 1e-12
+    assert out["min_l"] > 1e-9
+    assert out["positive_until_tstar"]

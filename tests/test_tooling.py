@@ -1,0 +1,37 @@
+"""The test session itself: a failing test is reported, never an internal error."""
+
+from __future__ import annotations
+
+import shutil
+import subprocess
+import sys
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parents[1]
+
+PROBE = '''
+from hypothesis import given, settings, strategies as st
+
+
+@settings(max_examples=5, database=None)
+@given(st.integers())
+def test_fails(x):
+    assert x != x
+
+
+def test_passes():
+    assert True
+'''
+
+
+def test_a_failing_property_test_leaves_the_session_running(tmp_path):
+    # the probe runs under this repository's pytest settings and conftest
+    shutil.copy(REPO / "tests" / "conftest.py", tmp_path)
+    (tmp_path / "test_probe.py").write_text(PROBE)
+    cmd = [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+           "-c", str(REPO / "pyproject.toml"), "--rootdir", str(tmp_path), "test_probe.py"]
+    proc = subprocess.run(cmd, cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    out = proc.stdout + proc.stderr
+    assert proc.returncode == 1, out
+    assert "INTERNALERROR" not in out, out
+    assert "1 failed, 1 passed" in out, out
