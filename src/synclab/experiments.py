@@ -391,13 +391,18 @@ def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
 
 
 def _cluster_scenario(config: ScenarioConfig):
+    """The cluster run's params, initial state and ClusterSpec.
+
+    Without `cluster_indices` the cluster is the fewest leading indices, at
+    least n - 1, that hold the fraction lambda of the n oscillators which
+    `ClusterSpec.validate_size` asks for.
+    """
     n = config.n
     rng = _rng(config.seed, 0)
-    idx = (
-        np.asarray(config.cluster_indices, dtype=int)
-        if config.cluster_indices is not None
-        else np.arange(n - 1)
-    )
+    if config.cluster_indices is not None:
+        idx = np.asarray(config.cluster_indices, dtype=int)
+    else:
+        idx = np.arange(min(n, max(n - 1, math.ceil(config.cluster_lambda * n))))
     outsiders = np.setdiff1d(np.arange(n), idx)
     theta0 = np.empty(n)
     theta0[idx] = rng.uniform(-0.35, 0.35, idx.size)

@@ -11,8 +11,10 @@ step is classical collocation at the same nodes, a method of Lobatto IIIA
 type (Hairer & Wanner, Solving ODEs II, IV.5), and omega is slaved to
 nu + c(theta).
 
-Error control and the remaining span alone set the step: the first attempt
-spans the whole horizon and rejections shrink it.
+Error control and the remaining span set the step.  The first attempt is
+sized from the defect estimated on the two time scales of the Tikhonov
+picture, the O(m) initial layer and the first-order flow, and error control
+accepts or rejects it like any other.
 
 Every inertial trajectory is certified on construction: the residual of the
 velocity integral representation must stay below 50 * tol.  A bound on that
@@ -63,8 +65,8 @@ _DEFECT_NOISE = 2.0**10 * np.finfo(float).eps
 # nodes of [0, 1]; _VINV maps node values to monomial coefficients.  It is
 # built from the Lagrange basis, whose products keep every entry within an ulp
 # or so, where inverting the Vandermonde matrix (condition 1.6e4) would not.
-_DEGREE = 6
-_NODES = 0.5 * (1.0 - np.cos(np.pi * np.arange(_DEGREE + 1) / _DEGREE))
+_NODES = _model._COLLOCATION_NODES
+_DEGREE = len(_NODES) - 1
 
 
 def _lagrange_coefficients(nodes):
@@ -84,6 +86,9 @@ _MIDS = 0.5 * (_NODES[:-1] + _NODES[1:])  # where a step reads its defect
 _MID_POWERS = _MIDS[:, None] ** np.arange(_DEGREE + 1)
 _STEP_X = np.concatenate([_MIDS, _NODES[1:]])  # every offset a step evaluates
 _CHECK = np.r_[:_DEGREE, 2 * _DEGREE - 1]  # the midpoints and the step end in _STEP_X
+# A step's midpoint defect is about this times h^(q+1) |c^(q+1)|: the largest
+# |prod_k (x - x_k)| over the midpoints, 2.36e-4, over (q + 1)!.
+_DEFECT_SCALE = np.abs(np.prod(_MIDS[:, None] - _NODES, axis=1)).max() / math.factorial(_DEGREE + 1)
 _NEWTON_ITERATIONS = 8
 _NEWTON_GROWTH = 4  # a step that needed more Newton iterations does not grow the next
 
@@ -223,21 +228,24 @@ class _Collocation:
     """One exp step's linear algebra at a step size h, for a Jacobian frozen at its start.
 
     The unknowns X (_DEGREE, n) are the coupling at the nodes x_1..x_q; the
-    phases there are theta_base + w0 c(theta0) + W X.  Newton's correction
-    equation dX - W dX D = F, with the mean-field Jacobian
+    phases there are `base` + W X, where `base` holds what theta0, omega0, nu
+    and g0 = c(theta0) at node 0 contribute.  Newton's correction equation
+    dX - W dX D = F, with the mean-field Jacobian
     D = (kappa/N) (P P^T - diag(d)), P = [cos theta0, sin theta0] and
     d_i = sum_l cos(theta0_l - theta0_i), splits per oscillator into
     A_i = I + (kappa/N) d_i W and a rank-2 remainder, which a 2q x 2q
-    Woodbury capacitance solves.  Memory is O(q^2 n).
+    Woodbury capacitance solves.  Both are inverted once per step and serve
+    every Newton iteration.  Memory is O(q^2 n).
     """
 
-    def __init__(self, params, theta0, omega0, h):
+    def __init__(self, params, theta0, omega0, g0, h):
         self.weights = relaxation_weights(_STEP_X * h, h, params.inertia_m, _DEGREE)
         _, mom0, _, jom = self.weights
         lag = jom[:, _DEGREE:].T @ _VINV  # theta at the nodes is linear in the node values
-        self.w0, self.w = lag[:, 0], lag[:, 1:]
+        self.w = lag[:, 1:]
         nodes = slice(_DEGREE, None)
         self.base = theta0 + mom0[nodes, None] * omega0 + jom[0, nodes, None] * params.nat_freq
+        self.base += np.outer(lag[:, 0], g0)
         scale = params.coupling_kappa / params.n
         pmat = np.column_stack([np.cos(theta0), np.sin(theta0)])
         d = pmat @ pmat.sum(axis=0)
@@ -245,17 +253,17 @@ class _Collocation:
         self.a_inv = np.linalg.inv(np.eye(_DEGREE) + (scale * d)[:, None, None] * self.w)
         self.b = self.a_inv @ self.w
         cap = np.einsum("ia,ib,ijk->ajbk", pmat, pmat, self.b).reshape(2 * _DEGREE, 2 * _DEGREE)
-        self.cap = np.eye(2 * _DEGREE) - scale * cap
+        self.cap_inv = np.linalg.inv(np.eye(2 * _DEGREE) - scale * cap)
         self.scale, self.pmat = scale, pmat
 
-    def thetas(self, g0, x):
-        """Phases at the nodes x_1..x_q for coupling values g0 (node 0) and x."""
-        return self.base + np.outer(self.w0, g0) + self.w @ x
+    def thetas(self, x):
+        """Phases at the nodes x_1..x_q for coupling values x there."""
+        return self.base + self.w @ x
 
     def correction(self, f):
         """dX with dX - W dX D = f."""
         r = np.einsum("ijk,ki->ji", self.a_inv, f)
-        y = np.linalg.solve(self.cap, (r @ self.pmat).T.ravel()).reshape(2, _DEGREE).T
+        y = (self.cap_inv @ (r @ self.pmat).T.ravel()).reshape(2, _DEGREE).T
         return r + self.scale * np.einsum("ijk,ki->ji", self.b, y @ self.pmat.T)
 
 
@@ -267,7 +275,7 @@ def _collocate(params, theta, omega, g0, h, prev, limit):
     g = nu + c, (_DEGREE + 1, n) each, and theta, omega and c at the step end.
     """
     try:
-        col = _Collocation(params, theta, omega, h)
+        col = _Collocation(params, theta, omega, g0, h)
     except np.linalg.LinAlgError:
         return None
     if prev is None:
@@ -277,24 +285,51 @@ def _collocate(params, theta, omega, g0, h, prev, limit):
         x = ((1.0 + _NODES[1:, None] * h / h_prev) ** np.arange(_DEGREE + 1)) @ coef_prev
     best = math.inf
     for iterations in range(1, _NEWTON_ITERATIONS + 1):
-        f = _model.coupling_term(params, col.thetas(g0, x)) - x
+        f = _model.coupling_term(params, col.thetas(x)) - x
         err = float(np.max(np.abs(f)))
         if not err < best:  # diverging, stalled or not finite
             return None
         if err <= 0.1 * limit:
             break
         best = err
-        try:
-            x = x + col.correction(f)
-        except np.linalg.LinAlgError:
-            return None
+        x = x + col.correction(f)
     else:
         return None
     coef_c, coef = _fit(g0, x, params.nat_freq)
-    th, om = _relax(theta, omega, coef, [w[..., _CHECK] for w in col.weights])
+    # theta and omega at the midpoints and the step end, one product per output
+    decay, mom0, rate, jom = (w[..., _CHECK] for w in col.weights)
+    th = theta + mom0[:, None] * omega + jom.T @ coef
+    om = decay[:, None] * omega + rate.T @ coef
     c = _model.coupling_term(params, th)  # at the midpoints and the step end
     defect = float(np.max(np.abs(_MID_POWERS @ coef_c - c[:-1]))) / limit
     return defect, iterations, coef_c, coef, th[-1], om[-1], c[-1]
+
+
+def _first_step(params, omega0, g0, horizon, limit):
+    """The first attempt's width: where the estimated defect reaches limit, at most the horizon.
+
+    The defect follows c^(q+1) (_DEFECT_SCALE), estimated on the two time
+    scales of the Tikhonov picture.  In the O(m) initial layer omega relaxes
+    from omega0 to nu + c(theta0), so theta leaves the first-order flow by
+    about m delta0 e^{-t/m} with delta0 = |omega0 - nu - c(theta0)|, and
+    c^(q+1) ~ kappa delta0 m / m^(q+1).  On the flow's own scale 1/Omega,
+    with Omega = kappa plus the spread of nu or of omega0, whichever is
+    larger, c^(q+1) ~ kappa Omega^(q+1).  An amplitude a over a time scale
+    tau gives the step tau (limit / (_DEFECT_SCALE a))^(1/(q+1)), taken in
+    logarithms so that no product can overflow; a vanishing amplitude
+    (kappa = 0, delta0 = 0 or m = 0) sets no step.
+    """
+    kappa, m = params.coupling_kappa, params.inertia_m
+    delta0 = float(np.max(np.abs(omega0 - params.nat_freq - g0)))
+    rate = kappa + max(float(np.ptp(params.nat_freq)), float(np.ptp(omega0)))
+    scales = []  # (log amplitude, log time scale)
+    if kappa > 0.0:
+        scales.append((math.log(kappa), -math.log(rate)))
+        if delta0 > 0.0 and m > 0.0:
+            scales.append((math.log(kappa) + math.log(delta0) + math.log(m), math.log(m)))
+    reach = math.log(limit / _DEFECT_SCALE)
+    log_h = min((tau + (reach - a) / (_DEGREE + 1) for a, tau in scales), default=math.inf)
+    return horizon if log_h >= math.log(horizon) else math.exp(log_h)
 
 
 def _integrate_exp(params, theta0, omega0, horizon, tol):
@@ -309,16 +344,18 @@ def _integrate_exp(params, theta0, omega0, horizon, tol):
     the ODE defect m omega' + omega - nu - c(theta) at the q midpoints between
     the nodes, the quantity `model._defect_bound` reads, stays below
     _DEFECT_FACTOR * tol plus a rounding floor; the next step follows that
-    defect as its 1/(q + 1)th power.  A Newton iteration that does not
-    converge halves the step.  At m = 0 the weights of `relaxation_weights`
-    make this classical collocation, and the defect theta' - nu - c(theta).
+    defect as its 1/(q + 1)th power.  The first step is the width at which
+    `_first_step` estimates the defect reaches that limit.  A Newton
+    iteration that does not converge halves the step.  At m = 0 the weights
+    of `relaxation_weights` make this classical collocation, and the defect
+    theta' - nu - c(theta).
     Returns the grid, its states and each cell's h and g = nu + c model.
     """
     limit = _DEFECT_FACTOR * tol + _DEFECT_NOISE * params.coupling_kappa
     t = 0.0
     theta, omega = np.array(theta0), np.array(omega0)
     g0 = _model.coupling_term(params, theta)
-    h = horizon
+    h = _first_step(params, omega, g0, horizon, limit)
     prev = None  # (h, c-model coefficients) of the last accepted step
 
     grid = [0.0]

@@ -27,6 +27,29 @@ from ._kernels import relaxation_chain, relaxation_convolution
 _CHUNK_ENTRIES = 1 << 16
 # Level L of the defect bound's 2^L + 1 even nodes per cell.
 _DEFECT_LEVEL = 4
+# The exp stepper's collocation nodes, the Chebyshev-Lobatto points of a cell
+# [0, 1] for its degree-6 coupling model.
+_COLLOCATION_NODES = 0.5 * (1.0 - np.cos(np.pi * np.arange(7) / 6))
+
+
+def _nodal_extrema(nodes):
+    """The extrema of prod_k (x - x_k) between consecutive nodes.
+
+    Newton's method on the derivative, from the midpoints.  `np.roots` would
+    call an eigenvalue solver at import, which adds about 1 MiB to the peak
+    RSS of every process that imports the package.
+    """
+    slope = np.polyder(np.poly(nodes))
+    curvature = np.polyder(slope)
+    x = 0.5 * (nodes[:-1] + nodes[1:])
+    for _ in range(8):
+        x = x - np.polyval(slope, x) / np.polyval(curvature, x)
+    return x
+
+
+# A cell's defect is about c^(7) h^7 / 7! times the nodal polynomial, so it
+# peaks near these.
+_DEFECT_PEAKS = _nodal_extrema(_COLLOCATION_NODES)
 
 __all__ = [
     "SystemParams",
@@ -263,10 +286,11 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     cell k this gives |r| <= max(B_k + J_k, D_k) on the cell and
     B_{k+1} = e^{-h_k/m} (B_k + J_k) + (1 - e^{-h_k/m}) D_k, per oscillator.
 
-    D_k is sampled at the 2^L + 1 even nodes of level L = _DEFECT_LEVEL and at
+    D_k is sampled at the 2^L + 1 even nodes of level L = _DEFECT_LEVEL, at
     the nodes m/10 * 2^j from the cell start, which cover the layer of width m
-    there.  D_k is the sup over all of them plus its excess over the sup at
-    level L - 1 (the even nodes of that level, the layer nodes and the cell
+    there, and at _DEFECT_PEAKS, near which the collocation error peaks.  D_k
+    is the sup over all of them plus its excess over the sup at level L - 1
+    (the even nodes of that level, the layer nodes, the peaks and the cell
     start), an estimate of the sampling error.  D_k is a sampled sup, so the
     rows bound the residual up to that error; in cells far below the gate a
     row can fall a fraction of a percent short of the exact residual there.
@@ -280,9 +304,9 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     layer = m / 10.0 * 2.0 ** np.arange(max(1, math.ceil(math.log2(10.0 * widths.max() / m))))
     x = np.linspace(0.0, 1.0, 2**_DEFECT_LEVEL + 1)
     offsets = np.hstack([np.zeros((len(widths), 1)), np.minimum(layer, widths[:, None]),
-                         np.outer(widths, x[1:])])
+                         np.outer(widths, _DEFECT_PEAKS), np.outer(widths, x[1:])])
     coarse = np.ones(offsets.shape[1], dtype=bool)
-    coarse[1 + len(layer) :: 2] = False  # the even nodes new at level L
+    coarse[1 + len(layer) + len(_DEFECT_PEAKS) :: 2] = False  # the even nodes new at level L
     sup_coarse, sup, ends = _cell_defect(params, traj, offsets, coarse)
     excess = sup - sup_coarse
     if not np.all(excess <= gate / 10.0):  # a NaN fails too

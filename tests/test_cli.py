@@ -12,7 +12,7 @@ import pytest
 
 from synclab import cli
 from synclab.cli import load_config, parse_and_dispatch, validate_report, write_trajectory_csv
-from synclab.experiments import ConfigError, ScenarioConfig
+from synclab.experiments import ConfigError, ScenarioConfig, _cluster_scenario
 from synclab.integrate import integrate
 from synclab.model import PhaseState, SystemParams
 
@@ -282,6 +282,23 @@ def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsy
     assert len(err) == 1
     assert err[0].startswith("error: config:")
     assert not (tmp_path / "o").exists()
+
+
+def test_bare_cluster_does_not_exit_2(tmp_path, capsys):
+    out = tmp_path / "o"
+    assert run_cli(["cluster", "--out", str(out)]) != 2, capsys.readouterr().err
+    assert (out / "report.json").is_file()
+
+
+@pytest.mark.parametrize(
+    "n, lam, size", [(1, 0.7, 1), (2, 0.7, 2), (3, 0.7, 3), (4, 0.7, 3), (5, 0.7, 4), (10, 0.7, 9),
+                     (4, 1.0, 4)],
+)
+def test_default_cluster_is_the_fewest_leading_indices_lambda_allows(n, lam, size):
+    # at least n - 1 indices, as before, and at least lambda * n of them
+    spec = _cluster_scenario(ScenarioConfig(n=n, cluster_lambda=lam))[2]
+    assert spec.indices == tuple(range(size))
+    spec.validate_size(n)
 
 
 @pytest.mark.parametrize(

@@ -59,10 +59,8 @@ def test_no_runner_draws_from_one_stream_twice(monkeypatch):
         return rng(seed, stream)
 
     monkeypatch.setattr(experiments, "_rng", recorded)
-    # of the cluster runner, only its scenario draws (the runner itself needs
-    # more than one cluster member at n = 2)
     runners = (run_sync_certification, run_tikhonov_sweep, run_identical_comparison,
-               experiments._cluster_scenario, run_reconstruction_demo, run_single_simulation,
+               run_cluster_experiment, run_reconstruction_demo, run_single_simulation,
                probe_conjecture_r)
     for runner in runners:
         draws.clear()

@@ -5,6 +5,7 @@ from __future__ import annotations
 import importlib
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -469,14 +470,103 @@ def test_dense_output_between_grid_points(m, n, horizon, method):
 
 
 def test_dense_output_on_a_desk_run():
-    # criterion-08 seed 42: the first attempted step spans all 200 time units
-    # and accepted steps may grow 5x, so a long step accepted on a wrong error
+    # criterion-08 seed 42: past the O(m) layer accepted steps may grow 5x to
+    # cells more than 100 m long, so a long step accepted on a wrong error
     # estimate would show here against the independent reference
     cfg = ScenarioConfig(seed=42, n=2, horizon=200.0, tol=1e-8, eps=0.05)
     traj = _sync_scenario(cfg, 0)["trajectory"]
     assert traj.method == "exp" and np.diff(traj.grid).max() > 100 * traj.params.inertia_m
     err = _dense_error(traj, traj.state_at_time(0.0))
     assert err <= 50 * cfg.tol, err
+
+
+def _logged_attempts(monkeypatch):
+    """The exp stepper's step attempts as they come: (h, accepted) each."""
+    attempts = []
+    collocate = _integrate_module._collocate
+
+    def logged(params, theta, omega, g0, h, prev, limit):
+        step = collocate(params, theta, omega, g0, h, prev, limit)
+        attempts.append((h, step is not None and step[0] <= 1.0))
+        return step
+
+    monkeypatch.setattr(_integrate_module, "_collocate", logged)
+    return attempts
+
+
+_DESK_SEEDS = [(42 + k, 2) for k in range(5)] + [(43 + k, 3) for k in range(5)]
+
+
+@pytest.mark.parametrize("seed, n", _DESK_SEEDS)
+def test_desk_runs_size_the_first_step_to_the_layer(monkeypatch, seed, n):
+    # criterion-08 runs: a first attempt over the whole horizon took about ten
+    # Newton failures and defect rejections to come down to the O(m) layer
+    attempts = _logged_attempts(monkeypatch)
+    cfg = ScenarioConfig(seed=seed, n=n, horizon=200.0, tol=1e-8, eps=0.05)
+    traj = _sync_scenario(cfg, 0)["trajectory"]
+    assert traj.duhamel_sup <= 50 * cfg.tol
+    accepted = [ok for _, ok in attempts]
+    assert accepted.index(True) <= 2, attempts[:4]
+
+
+_EDGE_RUNS = {
+    # identical phases and omega0 = nu: no initial velocity defect
+    "delta0=0": (SystemParams(3, 0.1, 1.0, [0.2, 0.0, -0.3]),
+                 PhaseState(0.0, np.zeros(3), [0.2, 0.0, -0.3]), 10.0, 1e-8),
+    "n=1": (SystemParams(1, 0.1, 1.0, [0.3]), PhaseState(0.0, [0.5], [-0.2]), 10.0, 1e-8),
+    "m=1e-4, delta0=1e3": (SystemParams(2, 1e-4, 1.0, [0.05, -0.05]),
+                           PhaseState(0.0, [0.0, 1.0], [1e3, -1e3]), 2.0, 1e-8),
+    "tol=1e-13": (SystemParams(3, 0.3, 1.0, [0.1, 0.0, -0.1]),
+                  PhaseState(0.0, [0.0, 1.0, 2.0], [0.3, 0.0, -0.2]), 3.0, 1e-13),
+    "m=0": (SystemParams(4, 0.0, 1.0, [0.1, 0.0, -0.1, 0.3]),
+            PhaseState(0.0, [0.0, 1.0, 2.0, 4.0], np.zeros(4)), 10.0, 1e-8),
+}
+
+
+@pytest.mark.parametrize("case", list(_EDGE_RUNS))
+def test_first_step_at_the_edges(monkeypatch, case):
+    params, init, horizon, tol = _EDGE_RUNS[case]
+    attempts = _logged_attempts(monkeypatch)
+    traj = integrate(params, init, horizon, tol)
+    h = attempts[0][0]
+    assert math.isfinite(h) and 0.0 < h <= horizon, h
+    if params.is_inertial:
+        assert traj.duhamel_sup <= 50 * tol
+    else:
+        assert _dense_error(traj, init) <= 50 * tol
+    if case == "m=1e-4, delta0=1e3":  # inside the layer, not on the flow's scale
+        assert h < 10 * params.inertia_m, h
+
+
+def test_first_step_without_coupling_spans_the_horizon():
+    # kappa = 0 (which SystemParams refuses) estimates no defect on either scale
+    params = SimpleNamespace(coupling_kappa=0.0, inertia_m=0.1, nat_freq=np.array([0.1, -0.1]))
+    h = _integrate_module._first_step(params, np.array([1.0, 2.0]), np.zeros(2), 7.0, 1e-8)
+    assert h == 7.0
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 16])
+@pytest.mark.parametrize("h_over_m", [0.3, 5.0, 400.0])
+def test_newton_correction_solves_the_dense_system(n, h_over_m):
+    # dX - W dX D = f, with D the Jacobian of the coupling at theta0 and W
+    # the map from node values to node phases, as one (q n) x (q n) system
+    rng = np.random.default_rng([n, int(h_over_m * 10)])
+    m = 0.05
+    params = SystemParams(n, m, rng.uniform(0.5, 3.0), rng.normal(0.0, 0.5, n))
+    theta0 = rng.uniform(0.0, 2.0 * np.pi, n)
+    omega0 = rng.normal(0.0, 0.5, n)
+    g0 = model.coupling_term(params, theta0)
+    col = _integrate_module._Collocation(params, theta0, omega0, g0, h_over_m * m)
+    q = col.w.shape[0]
+    f = rng.normal(0.0, 1.0, (q, n))
+    dx = col.correction(f)
+    cosines = np.cos(theta0[None, :] - theta0[:, None])
+    jac = (params.coupling_kappa / n) * (cosines - np.diag(cosines.sum(axis=1)))
+    dense = np.eye(q * n) - np.kron(jac.T, col.w)  # acting on dX stacked by columns
+    want = np.linalg.solve(dense, f.ravel(order="F")).reshape((q, n), order="F")
+    assert np.abs(dx - want).max() <= 1e-12 * np.abs(want).max()
+    coupled = col.w @ dx @ jac
+    assert np.abs(dx - coupled - f).max() <= 1e-12 * max(np.abs(dx).max(), np.abs(coupled).max())
 
 
 def _log_uniform(rng, lo, hi):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 import shutil
 import subprocess
 import sys
@@ -35,3 +36,15 @@ def test_a_failing_property_test_leaves_the_session_running(tmp_path):
     assert proc.returncode == 1, out
     assert "INTERNALERROR" not in out, out
     assert "1 failed, 1 passed" in out, out
+
+
+def test_importing_synclab_loads_no_scipy():
+    # numpy is the package's only runtime dependency (pyproject.toml); scipy
+    # serves the tests' reference solutions alone
+    code = ("import sys, synclab; "
+            "print(sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')))")
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+    proc = subprocess.run([sys.executable, "-c", code], cwd=REPO, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]", proc.stdout
