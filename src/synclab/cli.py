@@ -111,11 +111,9 @@ def load_config(path: str | None, overrides: dict[str, str]) -> ScenarioConfig:
         data[key] = _coerce(key, value)
 
     try:
-        config = ScenarioConfig(**data)
-        config.validate()
+        return ScenarioConfig(**data)
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc))
-    return config
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

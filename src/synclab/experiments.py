@@ -1,17 +1,18 @@
 """Reproducible scenario pipelines wrapping the measurement machinery.
 
-Each runner takes a ScenarioConfig, performs seeded simulations, and returns
-an ExperimentReport whose verdict is the conjunction of its component checks.
-All randomness flows through a PCG64 generator seeded per scenario, with
-substreams indexed by draw order, so identical configs reproduce bit-equal
-results.
+Every runner shares one frame: its ScenarioConfig is valid since it was built,
+and its ExperimentReport echoes the config, times itself from construction to
+`done()`, and passes when all its checks do.  Randomness flows through PCG64
+substreams of the seed: `_draw` takes the first phase draw that passes the R0
+filter and the generator on substream 1000 + its index, so identical configs
+reproduce bit-equal results.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -99,6 +100,9 @@ class ScenarioConfig:
     strict: bool = False
     seeds: int = 1
 
+    def __post_init__(self) -> None:
+        self.validate()
+
     def validate(self) -> None:
         for name, value in vars(self).items():
             values = value if isinstance(value, tuple) else (value,)
@@ -144,11 +148,19 @@ class ScenarioConfig:
 
 @dataclass
 class ExperimentReport:
+    """One runner's checks and summaries; its clock starts when it is built."""
+
     experiment: str
-    config: dict
+    config: ScenarioConfig
     checks: list[dict] = field(default_factory=list)
     summaries: dict = field(default_factory=dict)
-    wall_time_s: float = 0.0
+    wall_time_s: float = field(default=0.0, init=False)
+    _t_start: float = field(default_factory=time.perf_counter, init=False, repr=False)
+
+    def done(self) -> ExperimentReport:
+        """Stamp the wall time since the report was built, and return it."""
+        self.wall_time_s = time.perf_counter() - self._t_start
+        return self
 
     @property
     def verdict(self) -> bool:
@@ -170,17 +182,15 @@ class ExperimentReport:
             s["name"] = prefix + s["name"]
             self.checks.append(s)
 
-    def to_payload(self, include_timing: bool = True) -> dict:
-        out = {
+    def to_payload(self) -> dict:
+        return {
             "experiment": self.experiment,
-            "config": self.config,
+            "config": _plain(vars(self.config)),
             "checks": self.checks,
             "summaries": self.summaries,
             "verdict": "pass" if self.verdict else "fail",
+            "wall_time_s": self.wall_time_s,
         }
-        if include_timing:
-            out["wall_time_s"] = self.wall_time_s
-        return out
 
 
 def _rng(seed: int, stream: int) -> np.random.Generator:
@@ -212,25 +222,30 @@ def draw_initial_phases(config: ScenarioConfig):
     raise ConfigError("could not draw initial phases with R0 above the floor")
 
 
+def _draw(config: ScenarioConfig) -> tuple[np.ndarray, np.random.Generator]:
+    """The filtered phases, and the generator on substream 1000 + their attempt."""
+    theta0, attempt = draw_initial_phases(config)
+    return theta0, _rng(config.seed, 1000 + attempt)
+
+
+def _lock(config: ScenarioConfig, traj: Trajectory):
+    return lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
+
+
 def _sync_scenario(config: ScenarioConfig, seed_offset: int) -> dict:
     kappa = config.coupling_kappa
     a = config.a_freq_spread if config.a_freq_spread is not None else DEFAULT_ABC[0]
     b = config.b_velocity_spread if config.b_velocity_spread is not None else DEFAULT_ABC[1]
     c = config.c_inertia if config.c_inertia is not None else DEFAULT_ABC[2]
-    sub = ScenarioConfig(**{**vars(config), "seed": config.seed + seed_offset})
-
-    theta0, attempt = draw_initial_phases(sub)
-    rng = _rng(sub.seed, 1000 + attempt)
-    nu = _spread_to(rng.normal(0.0, 1.0, config.n), a * kappa) if config.n > 1 else np.zeros(1)
-    om0 = nu + (_spread_to(rng.normal(0.0, 1.0, config.n), b * kappa) if config.n > 1 else 0.0)
+    theta0, rng = _draw(replace(config, seed=config.seed + seed_offset))
+    nu = _spread_to(rng.normal(0.0, 1.0, config.n), a * kappa)
+    om0 = nu + _spread_to(rng.normal(0.0, 1.0, config.n), b * kappa)
     m = c / kappa
 
     params = SystemParams(config.n, m, kappa, nu)
     init = PhaseState(0.0, theta0, om0)
     traj = integrate(params, init, config.horizon, config.tol)
-    cert = lock_certificate(
-        traj, config.window_fraction, config.eps_omega, config.eps_theta
-    )
+    cert = _lock(config, traj)
 
     distinct = True
     red = np.mod(theta0, 2.0 * math.pi)
@@ -257,9 +272,7 @@ def _sync_scenario(config: ScenarioConfig, seed_offset: int) -> dict:
 def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
     """Phase-locking desk run: integrate, certify the lock, check the
     limiting order-parameter floor for the applicable case."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("sync_certification", _plain(vars(config)))
+    report = ExperimentReport("sync_certification", config)
     r_ends, cases = [], []
     for s in range(config.seeds):
         out = _sync_scenario(config, s)
@@ -283,15 +296,13 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
         )
         report.add_residual_check(f"residual_seed{s}", out["trajectory"], config.tol)
     report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def _sweep_init(config: ScenarioConfig):
     d_nu = config.a_freq_spread if config.a_freq_spread is not None else 0.3
     d_om = config.b_velocity_spread if config.b_velocity_spread is not None else 0.5
-    theta0, attempt = draw_initial_phases(config)
-    rng = _rng(config.seed, 1000 + attempt)
+    theta0, rng = _draw(config)
     nu = _spread_to(rng.normal(0.0, 1.0, config.n), d_nu)
     om0 = _spread_to(rng.normal(0.0, 1.0, config.n), d_om)
     params = SystemParams(config.n, 0.0, config.coupling_kappa, nu)
@@ -300,9 +311,7 @@ def _sweep_init(config: ScenarioConfig):
 
 def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
     """Small-inertia sweep: full bound suite plus the linear-in-m verdict."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("tikhonov_sweep", _plain(vars(config)))
+    report = ExperimentReport("tikhonov_sweep", config)
     params0, init = _sweep_init(config)
 
     res = compare_trajectories(
@@ -323,26 +332,21 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
         "sup_gap": {str(m): res["sup_gap"][m] for m in config.m_list},
         "ratios": res["ratios"],
     }
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
     """Compare the first-order flow against its identical-frequency version
     in normalized time; classify the identical-frequency limit."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("identical_comparison", _plain(vars(config)))
+    report = ExperimentReport("identical_comparison", config)
 
-    attempt = 0
     if config.theta0 is not None:
-        theta0 = np.asarray(config.theta0, dtype=float)
+        theta0, rng = np.asarray(config.theta0, dtype=float), _rng(config.seed, 1000)
     else:
-        theta0, attempt = draw_initial_phases(config)
+        theta0, rng = _draw(config)
     if config.nat_freq is not None:
         nu = np.asarray(config.nat_freq, dtype=float)
     else:
-        rng = _rng(config.seed, 1000 + attempt)
         d_nu = config.a_freq_spread if config.a_freq_spread is not None else 0.05
         nu = _spread_to(rng.normal(0.0, 1.0, config.n), d_nu * config.coupling_kappa)
 
@@ -386,8 +390,7 @@ def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
         "majority_size": majority,
         "r_end_identical": r_end,
     }
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def _cluster_scenario(config: ScenarioConfig):
@@ -418,9 +421,7 @@ def _cluster_scenario(config: ScenarioConfig):
 
 def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
     """Majority-cluster confinement check plus whole-ensemble locking."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("cluster", _plain(vars(config)))
+    report = ExperimentReport("cluster", config)
     params, init, spec = _cluster_scenario(config)
 
     traj = integrate(params, init, config.horizon, config.tol)
@@ -448,7 +449,7 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
         params.inertia_m, params.coupling_kappa, params.nat_freq, init.omega, math.inf
     )
     report.add_check("xi_whole_ensemble", xi_all < out["xi_threshold"], xi=xi_all)
-    cert = lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
+    cert = _lock(config, traj)
     report.add_check(
         "ensemble_locked",
         cert.locked,
@@ -457,18 +458,14 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
     )
     report.add_residual_check("residual", traj, config.tol)
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
     """Forward-simulate, then recover the velocity history from (theta(t0), omega0)."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("reconstruction", _plain(vars(config)))
+    report = ExperimentReport("reconstruction", config)
 
-    theta0, attempt = draw_initial_phases(config)
-    rng = _rng(config.seed, 1000 + attempt)
+    theta0, rng = _draw(config)
     nu = _spread_to(rng.normal(0.0, 1.0, config.n), 0.2 * config.coupling_kappa)
     om0 = nu + _spread_to(rng.normal(0.0, 1.0, config.n), 0.5 * config.coupling_kappa)
     params = SystemParams(config.n, config.inertia_m, config.coupling_kappa, nu)
@@ -502,15 +499,12 @@ def run_reconstruction_demo(config: ScenarioConfig) -> ExperimentReport:
         "contraction_horizon": horizon_c,
         "t0": t0,
     }
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def run_determinability_demo(config: ScenarioConfig) -> ExperimentReport:
     """Threshold table over an (m, kappa) grid plus the collision construction."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("determinability", _plain(vars(config)))
+    report = ExperimentReport("determinability", config)
 
     table = []
     for m in (0.1, 0.25, 0.5, 1.0):
@@ -551,15 +545,12 @@ def run_determinability_demo(config: ScenarioConfig) -> ExperimentReport:
             "threshold": out["threshold"],
         }
     report.summaries["threshold_table"] = table
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Trajectory]:
     """Plain integration with the lock certificate, for the CLI simulate verb."""
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("simulate", _plain(vars(config)))
+    report = ExperimentReport("simulate", config)
 
     if config.init_mode == "explicit":
         theta0 = np.asarray(config.theta0, dtype=float)
@@ -572,8 +563,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
         theta0 = bipolar_phases(config.n1, config.n2, config.bipolar_eta)
         omega0 = np.zeros(config.n)
     else:
-        theta0, attempt = draw_initial_phases(config)
-        rng = _rng(config.seed, 1000 + attempt)
+        theta0, rng = _draw(config)
         omega0 = rng.normal(0.0, 0.1 * config.coupling_kappa, config.n)
     nu = (
         np.asarray(config.nat_freq, dtype=float)
@@ -583,7 +573,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
     params = SystemParams(config.n, config.inertia_m, config.coupling_kappa, nu)
     traj = integrate(params, PhaseState(0.0, theta0, omega0), config.horizon, config.tol)
 
-    cert = lock_certificate(traj, config.window_fraction, config.eps_omega, config.eps_theta)
+    cert = _lock(config, traj)
     report.add_residual_check("residual", traj, config.tol)
     report.summaries = {
         "locked": cert.locked,
@@ -591,8 +581,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
         "grid_points": int(len(traj.grid)),
         "method": traj.method,
     }
-    report.wall_time_s = time.perf_counter() - t_start
-    return report, traj
+    return report.done(), traj
 
 
 def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
@@ -602,12 +591,9 @@ def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
     1 - (1/2 +- eps) Var(nu)/kappa^2.  Non-binding: the verdict only records
     that the probe ran, not whether the window held.
     """
-    config.validate()
-    t_start = time.perf_counter()
-    report = ExperimentReport("conjecture_probe", _plain(vars(config)))
+    report = ExperimentReport("conjecture_probe", config)
 
-    theta0, attempt = draw_initial_phases(config)
-    rng = _rng(config.seed, 1000 + attempt)
+    theta0, rng = _draw(config)
     if config.nat_freq is not None:
         nu = np.asarray(config.nat_freq, dtype=float)
     else:
@@ -633,8 +619,7 @@ def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
         "inside_window": inside,
         "non_binding": True,
     }
-    report.wall_time_s = time.perf_counter() - t_start
-    return report
+    return report.done()
 
 
 def _plain(obj):

@@ -234,7 +234,9 @@ def counterexample_bipolar(
     each search run stops just past the upper end's zero.  The bracket
     starts at [1e-4, pi - 1e-3] and its upper end moves to pi - 1e-4,
     pi - 1e-5 and pi - 1e-6 while its zero comes before t_star; a t_star
-    beyond the last is a ValueError.  Then verifies on full N-oscillator
+    beyond the last is a ValueError, and so is one at or below the lower
+    end's zero, which lies just above the threshold.
+    Then verifies on full N-oscillator
     simulations that the phases agree at t_star while the velocities carry
     opposite (+n2/N, ..., -n1/N) patterns.
     """
@@ -257,9 +259,9 @@ def counterexample_bipolar(
     lo = 1e-4
     z_lo = zero_for(lo)
     if not z_lo < t_star:
-        raise IntegrationError(
-            f"bracket failure: the first zero at eta = {lo:g} is {z_lo:.10g}, "
-            f"not below t_star {t_star:.10g}"
+        raise ValueError(
+            f"t_star {t_star:.10g} is too close to the threshold {threshold:.10g}: the first "
+            f"zero at the smallest opening angle, eta = {lo:g}, is {z_lo:.10g}"
         )
     # The first zero grows like log(1/(pi - eta)) as eta approaches pi (the
     # pendulum rests ever longer near the inverted equilibrium), so the opening

@@ -484,7 +484,8 @@ def compare_trajectories(
     `strict` adds them over all times as c1_abs_full and c1_rel_full.
 
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
-    the consecutive sup-gap ratios used for the linear-in-m verdict.
+    the consecutive sup-gap ratios used for the linear-in-m verdict; a ratio
+    over a sup gap of 0 is a ValueError.
     """
     if len(m_list) == 0 or min(m_list) <= 0 or any(a <= b for a, b in zip(m_list, m_list[1:])):
         raise ValueError("m_list must be nonempty, positive and strictly descending")
@@ -585,6 +586,9 @@ def compare_trajectories(
         result["trajectories"][m] = traj_m
 
     sups = [result["sup_gap"][m] for m in m_list]
+    if 0.0 in sups[:-1]:
+        m = m_list[sups.index(0.0)]
+        raise ValueError(f"the sup phase gap at m = {m:g} is 0: the linear-in-m ratio is undefined")
     result["ratios"] = [sups[i + 1] / sups[i] for i in range(len(sups) - 1)]
     result["trajectory_zero"] = traj0
     result["all_passed"] = all(c.passed for cl in result["checks"].values() for c in cl)

@@ -14,6 +14,7 @@ from synclab.experiments import (
     draw_initial_phases,
     probe_conjecture_r,
     run_cluster_experiment,
+    run_determinability_demo,
     run_identical_comparison,
     run_reconstruction_demo,
     run_single_simulation,
@@ -68,14 +69,22 @@ def test_no_runner_draws_from_one_stream_twice(monkeypatch):
         assert draws and len(set(draws)) == len(draws), (runner.__name__, draws)
 
 
-def test_sweep_determinism_bit_exact():
+RUNNERS = (run_sync_certification, run_tikhonov_sweep, run_identical_comparison,
+           run_cluster_experiment, run_reconstruction_demo, run_determinability_demo,
+           run_single_simulation, probe_conjecture_r)
+
+
+@pytest.mark.parametrize("runner", RUNNERS, ids=lambda runner: runner.__name__)
+def test_runner_determinism_bit_exact(runner):
     cfg = ScenarioConfig(seed=7, n=4, horizon=1.5, tol=1e-9, m_list=(0.1, 0.05), n_max=3)
-    rep1 = run_tikhonov_sweep(cfg)
-    rep2 = run_tikhonov_sweep(cfg)
-    p1 = json.dumps(rep1.to_payload(include_timing=False), sort_keys=True)
-    p2 = json.dumps(rep2.to_payload(include_timing=False), sort_keys=True)
-    assert p1 == p2
-    assert rep1.verdict
+    reports = [runner(cfg) for _ in range(2)]
+    reports = [rep[0] if isinstance(rep, tuple) else rep for rep in reports]
+    payloads = [rep.to_payload() for rep in reports]
+    for p in payloads:
+        del p["wall_time_s"]
+    assert json.dumps(payloads[0], sort_keys=True) == json.dumps(payloads[1], sort_keys=True)
+    if runner is run_tikhonov_sweep:
+        assert reports[0].verdict
 
 
 def test_verdict_is_conjunction_of_checks():
@@ -180,8 +189,6 @@ def test_reconstruction_demo_runner():
 
 
 def test_determinability_demo_runner():
-    from synclab.experiments import run_determinability_demo
-
     cfg = ScenarioConfig(seed=1, n=2, inertia_m=1.0, coupling_kappa=1.0, t_star=3.0)
     rep = run_determinability_demo(cfg)
     assert rep.verdict, [c for c in rep.checks if not c["passed"]]

@@ -271,15 +271,19 @@ def test_counterexample_widens_the_bracket_towards_pi():
 
 
 def test_counterexample_out_of_reach_is_a_config_error(tmp_path, capsys):
-    # the first zero at eta = pi - 1e-6 is 25.87
-    with pytest.raises(ValueError, match="out of reach"):
-        counterexample_bipolar(1, 1, 1.0, 1.0, 30.0)
-    args = ["determinability", "--out", str(tmp_path)]
-    for item in ("inertia_m=1", "coupling_kappa=1", "t_star=30"):
-        args += ["--set", item]
-    assert parse_and_dispatch(args) == 2
-    err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("error: config:")
+    # the first zero at eta = pi - 1e-6 is 25.87, and the one at the lower end
+    # eta = 1e-4 lies about 1.6e-8 above the threshold, so t* = T* + 1e-9 is
+    # out of reach below the bracket
+    near = determinability_threshold(1.0, 1.0) + 1e-9
+    for t_star, match in ((30.0, "out of reach"), (near, "too close to the threshold")):
+        with pytest.raises(ValueError, match=match):
+            counterexample_bipolar(1, 1, 1.0, 1.0, t_star)
+        args = ["determinability", "--out", str(tmp_path)]
+        for item in ("inertia_m=1", "coupling_kappa=1", f"t_star={t_star!r}"):
+            args += ["--set", item]
+        assert parse_and_dispatch(args) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: config:")
 
 
 def test_monitor_rejects_equal_trajectories():
