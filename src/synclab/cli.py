@@ -1,9 +1,10 @@
 """Command-line frontend: scenario configs in, reports and CSV data out.
 
-Subcommands: simulate, compare, reconstruct, determinability, certify,
-cluster, sweep, probe.  Exit codes: 0 verdict pass, 1 verdict fail,
-2 usage/config error, 3 numerical or internal failure.  All errors print one
-machine-parsable line `error: <kind>: <detail>` on stderr.
+Subcommands are the keys of one runner table, `_RUNNERS`: simulate, compare,
+reconstruct, determinability, certify, cluster, sweep, probe.  Config fields
+take the kinds their `ScenarioConfig` annotations name.  Exit codes: 0 verdict
+pass, 1 verdict fail, 2 usage/config error, 3 numerical or internal failure.
+All errors print one machine-parsable line `error: <kind>: <detail>` on stderr.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -34,21 +36,7 @@ from .reconstruct import determinability_threshold
 
 __all__ = ["main", "parse_and_dispatch", "load_config", "write_trajectory_csv", "validate_report"]
 
-SUBCOMMANDS = (
-    "simulate",
-    "compare",
-    "reconstruct",
-    "determinability",
-    "certify",
-    "cluster",
-    "sweep",
-    "probe",
-)
-
-_LIST_FIELDS = {"nat_freq", "theta0", "omega0", "m_list", "cluster_indices"}
-_INT_FIELDS = {"seed", "n", "n_max", "n1", "n2", "seeds"}
-_BOOL_FIELDS = {"strict"}
-_STR_FIELDS = {"init_mode"}
+_HINTS = typing.get_type_hints(ScenarioConfig)
 
 
 def _scalar(key: str, value, kind):
@@ -61,24 +49,23 @@ def _scalar(key: str, value, kind):
 
 
 def _coerce(key: str, value):
-    if key in _LIST_FIELDS:
+    """One JSON value as the kind its ScenarioConfig annotation names; only an
+    annotation that includes None takes null."""
+    kind = _HINTS[key]
+    if type(None) in typing.get_args(kind):
         if value is None:
             return None
+        kind = typing.get_args(kind)[0]
+    if typing.get_origin(kind) is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"field '{key}' must be a list")
-        kind = int if key == "cluster_indices" else float
-        return tuple(_scalar(key, v, kind) for v in value)
-    if key in _BOOL_FIELDS:
-        if not isinstance(value, bool):
-            raise ConfigError(f"field '{key}' must be a boolean")
+        item = typing.get_args(kind)[0]
+        return tuple(_scalar(key, v, item) for v in value)
+    if kind is bool or kind is str:
+        if not isinstance(value, kind):
+            raise ConfigError(f"field '{key}' must be a {'boolean' if kind is bool else 'string'}")
         return value
-    if key in _STR_FIELDS:
-        if not isinstance(value, str):
-            raise ConfigError(f"field '{key}' must be a string")
-        return value
-    if key in _INT_FIELDS:
-        return _scalar(key, value, int)
-    return None if value is None else _scalar(key, value, float)
+    return _scalar(key, value, kind)
 
 
 def load_config(path: str | None, overrides: dict[str, str]) -> ScenarioConfig:
@@ -156,14 +143,16 @@ def validate_report(payload: dict) -> None:
 
 
 _RUNNERS = {
-    "certify": run_sync_certification,
-    "sweep": run_tikhonov_sweep,
+    "simulate": run_single_simulation,
     "compare": run_identical_comparison,
-    "cluster": run_cluster_experiment,
     "reconstruct": run_reconstruction_demo,
     "determinability": run_determinability_demo,
+    "certify": run_sync_certification,
+    "cluster": run_cluster_experiment,
+    "sweep": run_tikhonov_sweep,
     "probe": probe_conjecture_r,
 }
+SUBCOMMANDS = tuple(_RUNNERS)
 
 
 def _build_parser(subcommand: str) -> argparse.ArgumentParser:
@@ -207,6 +196,8 @@ def _collect_overrides(args) -> dict[str, str]:
 
 def _emit_report(report: ExperimentReport, out_dir: Path, verbose: int) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
+    if report.trajectory is not None:
+        write_trajectory_csv(report.trajectory, out_dir / "trajectory.csv")
     payload = report.to_payload()
     validate_report(payload)
     with open(out_dir / "report.json", "w", encoding="utf-8", newline="\n") as fh:
@@ -245,16 +236,8 @@ def parse_and_dispatch(argv: list[str]) -> int:
             value = determinability_threshold(kappa, args.m)
             print("inf" if value == float("inf") else f"{value:.9g}")
             return 0
-        config = load_config(args.config, overrides)
-        out_dir = Path(args.out)
-
-        if sub == "simulate":
-            report, traj = run_single_simulation(config)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            write_trajectory_csv(traj, out_dir / "trajectory.csv")
-        else:
-            report = _RUNNERS[sub](config)
-        _emit_report(report, out_dir, args.verbose)
+        report = _RUNNERS[sub](load_config(args.config, overrides))
+        _emit_report(report, Path(args.out), args.verbose)
         return 0 if report.verdict else 1
     except IntegrationError as exc:
         print(f"error: numerical: {exc}", file=sys.stderr)

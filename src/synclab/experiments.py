@@ -1,18 +1,20 @@
 """Reproducible scenario pipelines wrapping the measurement machinery.
 
-Every runner shares one frame: its ScenarioConfig is valid since it was built,
-and its ExperimentReport echoes the config, times itself from construction to
-`done()`, and passes when all its checks do.  Randomness flows through PCG64
-substreams of the seed: `_draw` takes the first phase draw that passes the R0
-filter and the generator on substream 1000 + its index, so identical configs
-reproduce bit-equal results.
+Every runner takes one ScenarioConfig, the only config schema (the CLI reads
+each field's kind off its annotation), and returns one ExperimentReport.  The
+config is valid since it was built.  The report rejects a per-oscillator field
+its runner does not read, echoes the config, times itself from construction to
+`done()`, passes when all its checks do, and carries the run of `simulate` for
+the CLI's CSV.  Randomness flows through PCG64 substreams of the seed: `_draw`
+takes the first phase draw that passes the R0 filter and the generator on
+substream 1000 + its index, so identical configs reproduce bit-equal results.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from typing import Sequence
 
 import numpy as np
@@ -65,7 +67,7 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ScenarioConfig:
-    """Seeded scenario description; see cli.load_config for the JSON schema."""
+    """Seeded scenario description; the CLI reads each field's JSON kind off its annotation."""
 
     seed: int = 0
     n: int = 2
@@ -148,14 +150,25 @@ class ScenarioConfig:
 
 @dataclass
 class ExperimentReport:
-    """One runner's checks and summaries; its clock starts when it is built."""
+    """One runner's checks and summaries; its clock starts when it is built.
+
+    An explicit per-oscillator field not in `reads` is a ConfigError, not an
+    echo of a value the run ignored.  `trajectory` is the run for the CSV.
+    """
 
     experiment: str
     config: ScenarioConfig
     checks: list[dict] = field(default_factory=list)
     summaries: dict = field(default_factory=dict)
+    reads: InitVar[tuple[str, ...]] = ()
     wall_time_s: float = field(default=0.0, init=False)
+    trajectory: Trajectory | None = field(default=None, init=False, repr=False)
     _t_start: float = field(default_factory=time.perf_counter, init=False, repr=False)
+
+    def __post_init__(self, reads: tuple[str, ...]) -> None:
+        for name in ("nat_freq", "theta0", "omega0"):
+            if name not in reads and getattr(self.config, name) is not None:
+                raise ConfigError(f"{self.experiment} does not read {name}")
 
     def done(self) -> ExperimentReport:
         """Stamp the wall time since the report was built, and return it."""
@@ -338,7 +351,7 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
 def run_identical_comparison(config: ScenarioConfig) -> ExperimentReport:
     """Compare the first-order flow against its identical-frequency version
     in normalized time; classify the identical-frequency limit."""
-    report = ExperimentReport("identical_comparison", config)
+    report = ExperimentReport("identical_comparison", config, reads=("theta0", "nat_freq"))
 
     if config.theta0 is not None:
         theta0, rng = np.asarray(config.theta0, dtype=float), _rng(config.seed, 1000)
@@ -548,11 +561,13 @@ def run_determinability_demo(config: ScenarioConfig) -> ExperimentReport:
     return report.done()
 
 
-def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Trajectory]:
-    """Plain integration with the lock certificate, for the CLI simulate verb."""
-    report = ExperimentReport("simulate", config)
+def run_single_simulation(config: ScenarioConfig) -> ExperimentReport:
+    """Plain integration with the lock certificate; the report carries the run."""
+    explicit = config.init_mode == "explicit"
+    reads = ("nat_freq", "theta0", "omega0") if explicit else ("nat_freq",)
+    report = ExperimentReport("simulate", config, reads=reads)
 
-    if config.init_mode == "explicit":
+    if explicit:
         theta0 = np.asarray(config.theta0, dtype=float)
         omega0 = (
             np.asarray(config.omega0, dtype=float)
@@ -574,6 +589,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
     traj = integrate(params, PhaseState(0.0, theta0, omega0), config.horizon, config.tol)
 
     cert = _lock(config, traj)
+    report.trajectory = traj
     report.add_residual_check("residual", traj, config.tol)
     report.summaries = {
         "locked": cert.locked,
@@ -581,7 +597,7 @@ def run_single_simulation(config: ScenarioConfig) -> tuple[ExperimentReport, Tra
         "grid_points": int(len(traj.grid)),
         "method": traj.method,
     }
-    return report.done(), traj
+    return report.done()
 
 
 def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
@@ -591,7 +607,7 @@ def probe_conjecture_r(config: ScenarioConfig) -> ExperimentReport:
     1 - (1/2 +- eps) Var(nu)/kappa^2.  Non-binding: the verdict only records
     that the probe ran, not whether the window held.
     """
-    report = ExperimentReport("conjecture_probe", config)
+    report = ExperimentReport("conjecture_probe", config, reads=("nat_freq",))
 
     theta0, rng = _draw(config)
     if config.nat_freq is not None:

@@ -485,36 +485,24 @@ def taylor_jet(params: SystemParams, state: PhaseState, order: int) -> TaylorJet
     return TaylorJet(state.t, kk, p * fact[:, None])
 
 
-def first_zero(
-    traj: Trajectory,
-    signal: Callable[[PhaseState], float],
-    bracket: tuple[float, float],
-    *,
-    tol: float = 1e-10,
-) -> float:
-    """Locate a sign change of a scalar state functional on the dense output.
+def _regula_falsi(f, lo, hi, f_lo, f_hi, *, tol=0.0, f_tol=0.0) -> float:
+    """Illinois regula falsi for a zero of f in [lo, hi], f_lo and f_hi of opposite signs.
 
-    Illinois regula falsi: the secant through the bracket ends picks the next
-    time, and an end kept twice in a row has its value halved, so both ends
-    close in.  Each new time stays tol/2 inside the bracket, so once one end
-    sits within tol/2 of the zero the next one lands past it.  Returns the
+    The secant through the bracket ends picks the next point (the midpoint
+    while f_hi is not finite), and an end kept twice in a row has its value
+    halved, so both ends close in.  Each new point stays tol/2 inside the
+    bracket, so once one end sits within tol/2 of the zero the next one lands
+    past it.  Returns a point where f is 0 or below f_tol in size, or the
     midpoint once the bracket is no wider than tol.
     """
-    lo, hi = float(bracket[0]), float(bracket[1])
-    f_lo = signal(traj.state_at_time(lo))
-    f_hi = signal(traj.state_at_time(hi))
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if f_lo * f_hi > 0.0:
-        raise ValueError("signal has no sign change over the bracket")
     kept = 0  # -1 while lo was kept last, +1 while hi was
-    while hi - lo > tol:
-        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
+    for _ in range(200):
+        if hi - lo <= tol:
+            return 0.5 * (lo + hi)
+        t = (lo * f_hi - hi * f_lo) / (f_hi - f_lo) if math.isfinite(f_hi) else 0.5 * (lo + hi)
         t = min(max(t, lo + 0.5 * tol), hi - 0.5 * tol)
-        f_t = signal(traj.state_at_time(t))
-        if f_t == 0.0:
+        f_t = f(t)
+        if f_t == 0.0 or abs(f_t) < f_tol:
             return t
         if (f_t < 0.0) == (f_lo < 0.0):
             lo, f_lo = t, f_t
@@ -526,4 +514,25 @@ def first_zero(
             if kept == -1:
                 f_lo *= 0.5
             kept = -1
-    return 0.5 * (lo + hi)
+    raise IntegrationError("regula falsi did not reach the zero tolerance")
+
+
+def first_zero(
+    traj: Trajectory,
+    signal: Callable[[PhaseState], float],
+    bracket: tuple[float, float],
+    *,
+    tol: float = 1e-10,
+) -> float:
+    """Locate a sign change of a scalar state functional on the dense output,
+    by Illinois regula falsi to a bracket no wider than tol."""
+    lo, hi = float(bracket[0]), float(bracket[1])
+    f_lo = signal(traj.state_at_time(lo))
+    f_hi = signal(traj.state_at_time(hi))
+    if f_lo == 0.0:
+        return lo
+    if f_hi == 0.0:
+        return hi
+    if f_lo * f_hi > 0.0:
+        raise ValueError("signal has no sign change over the bracket")
+    return _regula_falsi(lambda t: signal(traj.state_at_time(t)), lo, hi, f_lo, f_hi, tol=tol)

@@ -63,7 +63,6 @@ class LockCertificate:
     """Finite-horizon proxy for asymptotic phase-locking."""
 
     locked: bool
-    window: tuple[float, float]
     max_freq_spread: float
     max_phase_drift: float
     limiting_r_estimate: float
@@ -244,7 +243,6 @@ def lock_certificate(
     locked = freq_spread <= eps_omega and max_phase_drift <= eps_theta
     return LockCertificate(
         locked=bool(locked),
-        window=(float(t_start), float(t_end)),
         max_freq_spread=freq_spread,
         max_phase_drift=max_phase_drift,
         limiting_r_estimate=r_end,

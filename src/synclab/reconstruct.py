@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .integrate import IntegrationError, Trajectory, first_zero, integrate
-from .integrate import _DEGREE, _NODES, _certified, _fit, _relax_cells
+from .integrate import _DEGREE, _NODES, _certified, _fit, _regula_falsi, _relax_cells
 from .model import PhaseState, SystemParams, coupling_term
 from .observables import mismatch_l2
 
@@ -279,31 +279,15 @@ def counterexample_bipolar(
             f"{z_lo:.6g} (eta = pi - 1e-6)"
         )
 
-    # Illinois regula falsi: a kept endpoint's stored F is halved when it is
-    # kept twice in a row, so neither end sticks.
-    f_lo, f_hi = z_lo - t_star, z_hi - t_star
-    kept = None  # the end the last step kept
-    for _ in range(200):
-        if math.isfinite(f_hi):
-            eta = (lo * f_hi - hi * f_lo) / (f_hi - f_lo)
-        else:
-            eta = 0.5 * (lo + hi)
+    def f(eta: float) -> float:
+        nonlocal z_hi, z_eta
         z_eta = zero_for(eta, min(horizon, z_hi + margin))
-        f_eta = z_eta - t_star
-        if abs(f_eta) < ZERO_TOL:
-            break
-        if f_eta < 0.0:
-            lo, f_lo = eta, f_eta
-            if kept == "hi":
-                f_hi *= 0.5
-            kept = "hi"
-        else:
-            hi, z_hi, f_hi = eta, z_eta, f_eta
-            if kept == "lo":
-                f_lo *= 0.5
-            kept = "lo"
-    else:
-        raise IntegrationError("regula falsi did not reach the zero tolerance")
+        if z_eta > t_star:
+            z_hi = z_eta
+        return z_eta - t_star
+
+    z_eta = math.nan  # the zero at the last eta tried
+    eta = _regula_falsi(f, lo, hi, z_lo - t_star, z_hi - t_star, f_tol=ZERO_TOL)
 
     n = n1 + n2
     theta0 = bipolar_phases(n1, n2, eta)

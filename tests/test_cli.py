@@ -9,6 +9,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from synclab import cli
 from synclab.cli import load_config, parse_and_dispatch, validate_report, write_trajectory_csv
@@ -250,6 +252,18 @@ def test_sweep_subcommand_dispatches(tmp_path):
         ["determinability", "--m", "inf"],
         ["determinability", "--m", "1", "--kappa", "nan"],
         ["determinability", "--m", "1", "--kappa", "inf"],
+        # null for a field that is not optional
+        ["reconstruct", "--set", "t0=null"],
+        ["certify", "--set", "eps=null"],
+        ["probe", "--set", "eps=null"],
+        ["sweep", "--set", "m_list=null"],
+        ["cluster", "--set", "cluster_lambda=null"],
+        ["cluster", "--set", "cluster_ell=null"],
+        ["cluster", "--set", "cluster_eta=null"],
+        ["determinability", "--set", "t_star=null"],
+        ["simulate", "--set", "bipolar_eta=null"],
+        ["certify", "--set", "eps_theta=null"],
+        ["simulate", "--set", "horizon=null"],
     ],
 )
 def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):
@@ -336,9 +350,8 @@ def test_window_fraction_outside_the_unit_interval_exits_2(fraction, tmp_path, c
 
 @pytest.mark.parametrize("name", ScenarioConfig.__dataclass_fields__)
 def test_load_config_reads_every_default_back(name):
-    # the CLI's field-kind sets are a second copy of the dataclass types; a
-    # field missing from them comes back as a float (repr 5.0, not 5) or is
-    # rejected
+    # a field whose kind the CLI misreads from its annotation comes back as a
+    # float (repr 5.0, not 5) or is rejected
     default = getattr(ScenarioConfig(), name)
     assert repr(load_config(None, {name: json.dumps(default)})) == repr(ScenarioConfig())
 
@@ -358,3 +371,69 @@ def test_unexpected_exception_exits_3_with_one_error_line(tmp_path, monkeypatch,
     assert run_cli(["probe", "--out", str(tmp_path / "o")]) == 3
     err = capsys.readouterr().err.splitlines()
     assert err == ["error: internal: IndexError: first line second line"]
+
+
+OPTIONAL_FIELDS = ("nat_freq", "theta0", "omega0", "a_freq_spread", "b_velocity_spread",
+                   "c_inertia", "cluster_indices", "t1", "eps_omega")
+REQUIRED_FIELDS = tuple(f for f in ScenarioConfig.__dataclass_fields__ if f not in OPTIONAL_FIELDS)
+
+
+@pytest.mark.parametrize("name", REQUIRED_FIELDS)
+def test_null_is_a_config_error_for_a_field_that_is_not_optional(name):
+    # a null float or list field was taken as None, and failed later or not at all
+    assert len(REQUIRED_FIELDS) == 22
+    with pytest.raises(ConfigError, match=f"field '{name}'"):
+        load_config(None, {name: "null"})
+
+
+def _wrong_kinds(name: str):
+    """Values of a kind the field `name` does not take."""
+    default = getattr(ScenarioConfig(), name)
+    wrong = [st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=3)]
+    if name not in OPTIONAL_FIELDS:
+        wrong.append(st.none())
+    if not isinstance(default, str):
+        wrong.append(st.text(max_size=8))
+    if not isinstance(default, bool):
+        wrong.append(st.booleans())
+    if type(default) is int:
+        wrong.append(st.just(2.5))
+    return st.one_of(wrong)
+
+
+@settings(max_examples=200, database=None, deadline=None)
+@given(st.data())
+def test_a_value_of_the_wrong_kind_is_a_config_error(data):
+    name = data.draw(st.sampled_from(sorted(ScenarioConfig.__dataclass_fields__)))
+    value = data.draw(_wrong_kinds(name))
+    with pytest.raises(ConfigError):
+        load_config(None, {name: json.dumps(value)})
+
+
+# the per-oscillator fields each subcommand reads; simulate reads theta0 and
+# omega0 in explicit init only
+READS = {"compare": ("theta0", "nat_freq"), "probe": ("nat_freq",), "simulate": ("nat_freq",)}
+
+
+@pytest.mark.parametrize("field", ["nat_freq", "theta0", "omega0"])
+@pytest.mark.parametrize("sub", cli.SUBCOMMANDS)
+def test_a_per_oscillator_field_the_runner_does_not_read_exits_2(sub, field, tmp_path, capsys):
+    # such a field was echoed in report.json as if the run had used it
+    argv = [sub, "--set", "horizon=2", "--set", f"{field}=[0.5,-0.5]", "--out", str(tmp_path / "o")]
+    code = run_cli(argv)
+    err = capsys.readouterr().err.splitlines()
+    if field in READS.get(sub, ()):
+        assert code in (0, 1) and err == []
+    else:
+        assert code == 2
+        assert len(err) == 1 and err[0].startswith("error: config:") and field in err[0]
+        assert not (tmp_path / "o").exists()
+
+
+def test_explicit_simulate_reads_all_per_oscillator_fields(tmp_path):
+    argv = ["simulate", "--set", "init_mode=explicit", "--set", "horizon=2",
+            "--set", "nat_freq=[0.1,-0.1]", "--set", "theta0=[0,1]", "--set", "omega0=[0.5,-0.5]",
+            "--out", str(tmp_path)]
+    assert run_cli(argv) == 0
+    rows = np.loadtxt(tmp_path / "trajectory.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert rows[0, 1:5].tolist() == [0.0, 1.0, 0.5, -0.5]

@@ -78,7 +78,6 @@ RUNNERS = (run_sync_certification, run_tikhonov_sweep, run_identical_comparison,
 def test_runner_determinism_bit_exact(runner):
     cfg = ScenarioConfig(seed=7, n=4, horizon=1.5, tol=1e-9, m_list=(0.1, 0.05), n_max=3)
     reports = [runner(cfg) for _ in range(2)]
-    reports = [rep[0] if isinstance(rep, tuple) else rep for rep in reports]
     payloads = [rep.to_payload() for rep in reports]
     for p in payloads:
         del p["wall_time_s"]

@@ -19,6 +19,7 @@ from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
     MAX_JET_ORDER,
     IntegrationError,
+    _regula_falsi,
     first_zero,
     integrate,
     taylor_jet,
@@ -334,6 +335,18 @@ def test_first_zero_takes_few_signal_calls():
     th, _ = traj.eval_many(np.array([z - 1e-9, z + 1e-9]))
     assert th[0, 0] - th[0, 1] > 0.0 > th[1, 0] - th[1, 1]
     assert len(calls) <= 15, len(calls)
+
+
+def test_regula_falsi_bisects_past_an_infinite_end_and_stops_after_200_points():
+    # the counterexample's upper end reads +inf when its zero lies past the horizon
+    z = _regula_falsi(lambda x: x - 0.3 if x < 0.6 else math.inf, 0.0, 1.0, -0.3, math.inf,
+                      tol=1e-12)
+    assert z == pytest.approx(0.3, abs=1e-12)
+    # a jump has no zero to close in on: the bracket stops at one ulp
+    calls = []
+    with pytest.raises(IntegrationError, match="regula falsi"):
+        _regula_falsi(lambda x: calls.append(x) or (1.0 if x > 0.3 else -1.0), 0.0, 1.0, -1.0, 1.0)
+    assert len(calls) == 200
 
 
 def test_first_zero_linearized_pendulum_value():

@@ -6,6 +6,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tomllib
 from pathlib import Path
 
 REPO = Path(__file__).resolve().parents[1]
@@ -48,3 +49,21 @@ def test_importing_synclab_loads_no_scipy():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]", proc.stdout
+
+
+def test_the_console_script_runs_the_cli(tmp_path):
+    with open(REPO / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["scripts"] == {"synclab": "synclab.cli:main"}
+    env = {**os.environ, "PYTHONPATH": str(REPO / "src")}
+
+    def synclab(*args):
+        return subprocess.run([sys.executable, "-m", "synclab.cli", *args], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    usage = synclab("-h")
+    assert usage.returncode == 0, usage.stderr
+    assert usage.stdout == ("subcommands: simulate, compare, reconstruct, determinability, "
+                            "certify, cluster, sweep, probe\n")
+    bad = synclab("simulate", "--set", "horizon=-1", "--out", str(tmp_path / "o"))
+    assert bad.returncode == 2
+    assert bad.stderr.splitlines() == ["error: config: horizon must be positive"]
