@@ -117,10 +117,13 @@ def relaxation_chain(nodes, local, m: float) -> np.ndarray:
     reference node t_s; a cumulative sum then gives every output at once.
     The reference moves every _CHAIN_SPAN kernel widths, so the growing
     factor stays below e^_CHAIN_SPAN, and the blocks are chained by the
-    recurrence itself.  Returns (Q, n); the first row is zero.
+    recurrence itself.  At m = 0 it is the limit m -> 0, x_{k+1} = local_k.
+    Returns (Q, n); the first row is zero.
     """
     t = np.asarray(nodes, dtype=float)
     out = np.zeros((len(t),) + local.shape[1:])
+    if m == 0.0:
+        return np.concatenate([out[:1], local])
     block = np.floor((t - t[0]) / (_CHAIN_SPAN * m))
     bounds = np.concatenate(([0], np.flatnonzero(np.diff(block)) + 1, [len(t)]))
     for s, e in zip(bounds[:-1], bounds[1:]):

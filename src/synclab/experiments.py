@@ -182,12 +182,10 @@ class ExperimentReport:
     def add_check(self, name: str, passed: bool, **detail) -> None:
         self.checks.append({"name": name, "passed": bool(passed), **detail})
 
-    def add_residual_check(self, name: str, traj: Trajectory, tol: float) -> None:
-        """The certificate's 50 * tol gate on an inertial trajectory; no check at m = 0."""
-        if traj.params.is_inertial:
-            self.add_check(
-                name, traj.duhamel_sup <= CERTIFICATION_FACTOR * tol, residual=traj.duhamel_sup
-            )
+    def add_residual_check(self, name: str, traj: Trajectory) -> None:
+        """The certificate's 50 * tol gate on a trajectory, at its own tol."""
+        gate = CERTIFICATION_FACTOR * traj.tol
+        self.add_check(name, traj.duhamel_sup <= gate, residual=traj.duhamel_sup)
 
     def add_bound_checks(self, checks: Sequence[BoundCheck], prefix: str = "") -> None:
         for c in checks:
@@ -307,7 +305,7 @@ def run_sync_certification(config: ScenarioConfig) -> ExperimentReport:
             case=out["case"],
             r0=out["r0"],
         )
-        report.add_residual_check(f"residual_seed{s}", out["trajectory"], config.tol)
+        report.add_residual_check(f"residual_seed{s}", out["trajectory"])
     report.summaries = {"r_end": r_ends, "cases": cases, "abc": list(out["abc"])}
     return report.done()
 
@@ -338,7 +336,7 @@ def run_tikhonov_sweep(config: ScenarioConfig) -> ExperimentReport:
     )
     for m in config.m_list:
         report.add_bound_checks(res["checks"][m], prefix=f"m{m:g}/")
-        report.add_residual_check(f"residual_m{m:g}", res["trajectories"][m], config.tol)
+        report.add_residual_check(f"residual_m{m:g}", res["trajectories"][m])
     for i, r in enumerate(res["ratios"]):
         report.add_check(f"linear_ratio_{i}", 0.40 <= r <= 0.60, ratio=r)
     report.summaries = {
@@ -469,7 +467,7 @@ def run_cluster_experiment(config: ScenarioConfig) -> ExperimentReport:
         max_freq_spread=cert.max_freq_spread,
         max_phase_drift=cert.max_phase_drift,
     )
-    report.add_residual_check("residual", traj, config.tol)
+    report.add_residual_check("residual", traj)
     report.summaries = {"cluster_report": _plain(out), "r_end": cert.limiting_r_estimate}
     return report.done()
 
@@ -590,7 +588,7 @@ def run_single_simulation(config: ScenarioConfig) -> ExperimentReport:
 
     cert = _lock(config, traj)
     report.trajectory = traj
-    report.add_residual_check("residual", traj, config.tol)
+    report.add_residual_check("residual", traj)
     report.summaries = {
         "locked": cert.locked,
         "r_end": cert.limiting_r_estimate,

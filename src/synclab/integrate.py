@@ -6,8 +6,8 @@ at the step's Chebyshev-Lobatto nodes, found by simplified Newton; the ODE
 defect at the midpoints between the nodes controls the step, so past the O(m)
 layer steps follow the first-order flow's time scale 1/kappa rather than m.
 The first-order system (m = 0) is the limit m -> 0 of the same formulas,
-taken in the relaxation's weights alone (`relaxation_weights`): there the
-step is classical collocation at the same nodes, a method of Lobatto IIIA
+taken in the relaxation's weights (`relaxation_weights`) and the defect bound:
+the step is classical collocation at the same nodes, a method of Lobatto IIIA
 type (Hairer & Wanner, Solving ODEs II, IV.5), and omega is slaved to
 nu + c(theta).
 
@@ -16,9 +16,9 @@ sized from the defect estimated on the two time scales of the Tikhonov
 picture, the O(m) initial layer and the first-order flow, and error control
 accepts or rejects it like any other.
 
-Every inertial trajectory is certified on construction: the residual of the
-velocity integral representation must stay below 50 * tol.  A bound on that
-residual from the ODE defect of the dense output, sampled per cell
+Every trajectory is certified on construction: the residual of the velocity
+integral representation must stay below 50 * tol.  A bound on that residual
+from the ODE defect of the dense output, sampled per cell
 (`model._defect_bound`), certifies it, so its cost follows the cells rather
 than horizon/m; a run whose bound does not prove the gate raises.  That
 defect is the collocation error g - nu - c(theta) of each cell's model g.
@@ -101,8 +101,8 @@ class Trajectory:
     width _hs[k] from grid[k], theta_grid[k] and omega_grid[k] (of weight 0 at
     m = 0), under the coupling model
     g(s) = sum_p _coefs[k, p] (s/h)^p, nu in the constant term, to which its
-    dense omega relaxes exactly.  `duhamel_sup` (None for m = 0) bounds the
-    velocity residual that certified the trajectory against the 50 * tol gate.
+    dense omega relaxes exactly.  `duhamel_sup` (None on an uncertified "picard"
+    iterate) bounds the velocity residual that certified it against 50 * tol.
     """
 
     params: SystemParams
@@ -403,10 +403,10 @@ def integrate(
     """Integrate either system over [0, horizon] with local tolerance tol.
 
     Both take the exp stepper.  At m = 0 omega is slaved to the phases,
-    nu + c(theta), so the initial omega is ignored.  Inertial trajectories
-    are certified against the velocity integral representation: the defect
-    bound of `model._defect_bound` must prove its sup residual <= 50 * tol,
-    or IntegrationError is raised.
+    nu + c(theta), so the initial omega is ignored.  Both are certified
+    against the velocity integral representation, at m = 0 its limit
+    omega = nu + c(theta): the defect bound of `model._defect_bound` must
+    prove its sup residual <= 50 * tol, or IntegrationError is raised.
     """
     if not (math.isfinite(horizon) and horizon > 1e-14):
         raise ValueError("horizon must be finite and longer than 1e-14")
@@ -420,15 +420,13 @@ def integrate(
     theta0 = np.array(init.theta, dtype=float)
     slaved = not params.is_inertial
     omega0 = rhs_first_order(params, theta0) if slaved else np.array(init.omega, dtype=float)
-    step_tol = STEP_SAFETY * tol
     # Overflow and NaN raise no numpy warning here: they end in a rejected
     # step, a step-size underflow or a bound that fails the gate below.
     with np.errstate(all="ignore"):
-        grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, step_tol)
+        grid, th, om, hs, coefs = _integrate_exp(params, theta0, omega0, horizon, STEP_SAFETY * tol)
         if slaved:
             om = rhs_first_order(params, th)  # what the dense output reads at each cell start
-    traj = Trajectory(params, grid, th, om, tol, "exp", None, hs, coefs)
-    return traj if slaved else _certified(traj)
+    return _certified(Trajectory(params, grid, th, om, tol, "exp", None, hs, coefs))
 
 
 @dataclass(frozen=True)

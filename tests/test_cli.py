@@ -133,14 +133,16 @@ def test_exit_code_pass_fail(tmp_path):
     ],
 )
 @pytest.mark.parametrize("m", [0.0, 0.05])
-def test_residual_check_only_for_inertial_runs(command, inertia, check, m, tmp_path, capsys):
-    # m = 0 has no velocity certificate: no residual check, and no made-up one
+def test_residual_check_passes_for_both_systems(command, inertia, check, m, tmp_path, capsys):
+    # m = 0 is certified as the limit m -> 0 of the same bound: the check is
+    # there for both systems, and it passes
     argv = [*command, "--set", f"{inertia}={m}", "--set", "horizon=5", "--out", str(tmp_path)]
     assert run_cli(argv) in (0, 1)
     assert "error:" not in capsys.readouterr().err
     rep = json.loads((tmp_path / "report.json").read_text())
     validate_report(rep)
-    assert (check in [c["name"] for c in rep["checks"]]) == (m > 0)
+    found = [c for c in rep["checks"] if c["name"] == check]
+    assert len(found) == 1 and found[0]["passed"]
 
 
 def test_exit_code_numerical_failure(tmp_path, capsys):

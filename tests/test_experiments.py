@@ -74,9 +74,16 @@ RUNNERS = (run_sync_certification, run_tikhonov_sweep, run_identical_comparison,
            run_single_simulation, probe_conjecture_r)
 
 
-@pytest.mark.parametrize("runner", RUNNERS, ids=lambda runner: runner.__name__)
-def test_runner_determinism_bit_exact(runner):
-    cfg = ScenarioConfig(seed=7, n=4, horizon=1.5, tol=1e-9, m_list=(0.1, 0.05), n_max=3)
+# every runner at inertia_m = 0.01, and at 0 (c_inertia = 0 for certify) all
+# but the reconstruction, which needs m > 0
+@pytest.mark.parametrize("runner, m", [
+    *(pytest.param(runner, 0.01, id=runner.__name__) for runner in RUNNERS),
+    *(pytest.param(runner, 0.0, id=f"{runner.__name__}-m0")
+      for runner in RUNNERS if runner is not run_reconstruction_demo),
+])
+def test_runner_determinism_bit_exact(runner, m):
+    cfg = ScenarioConfig(seed=7, n=4, horizon=1.5, tol=1e-9, m_list=(0.1, 0.05), n_max=3,
+                         inertia_m=m, c_inertia=None if m else 0.0)
     reports = [runner(cfg) for _ in range(2)]
     payloads = [rep.to_payload() for rep in reports]
     for p in payloads:

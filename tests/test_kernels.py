@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from synclab import _kernels
-from synclab._kernels import relaxation_convolution, relaxation_weights
+from synclab._kernels import relaxation_chain, relaxation_convolution, relaxation_weights
 
 _X, _W = np.polynomial.legendre.leggauss(60)
 
@@ -162,6 +162,20 @@ def test_relaxation_convolution_matches_oracle():
 def test_relaxation_convolution_chains_blocks():
     # 3 time units are 150 kernel widths: two blocks of the cumulative sum
     _check_convolution_against_oracle(0.02)
+
+
+@pytest.mark.parametrize("m", [0.0, 0.02, 0.3])
+def test_relaxation_chain_matches_the_plain_recurrence(m):
+    # at m = 0.02 the 3 time units are two blocks of the cumulative sum; at
+    # m = 0 the chain is its limit x_{k+1} = local_k
+    rng = np.random.default_rng(13)
+    nodes = np.concatenate([[0.0], np.sort(rng.uniform(0.0, 3.0, 40)), [3.0]])
+    local = rng.normal(0.0, 1.0, (len(nodes) - 1, 2))
+    want = np.zeros((len(nodes), 2))
+    for k, h in enumerate(np.diff(nodes)):
+        want[k + 1] = (np.exp(-h / m) * want[k] if m > 0 else 0.0) + local[k]
+    got = relaxation_chain(nodes, local, m)
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-14)
 
 
 def _check_convolution_against_oracle(m):

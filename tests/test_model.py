@@ -15,7 +15,7 @@ from hypothesis.extra import numpy as hnp
 
 from synclab import model
 from synclab.experiments import ScenarioConfig, _sync_scenario
-from synclab.integrate import IntegrationError, Trajectory, integrate, taylor_jet
+from synclab.integrate import IntegrationError, Trajectory, _certified, integrate, taylor_jet
 from synclab.model import (
     GalileanShift,
     PhaseState,
@@ -288,17 +288,28 @@ def test_defect_bound_certifies_a_clean_dop853_run():
     assert _resolved_residual(p, traj) <= traj.duhamel_sup
 
 
+def _first_order_cell():
+    # a certified first-order run and its last cell but one
+    p = SystemParams(2, 0.0, 1.0, [0.05, -0.05])
+    traj = integrate(p, PhaseState(0.0, [0.0, 1.0], [0.0, 0.0]), 20.0, 1e-8)
+    return p, traj, len(traj.grid) - 3, 50 * traj.tol
+
+
 def test_defect_bound_flags_a_corrupted_coupling_model():
     # a wrong top coefficient in one cell's coupling model: the defect there
-    # is about 1e-5 x^q, x = (t - t_k) / h_k
-    p, traj, k, gate = _long_exp_cell()
-    change = np.zeros(traj._coefs.shape[1:])
-    change[-1, 0] = 1e-5
-    bad = _with_segment(traj, k, "_coefs", change)
-    bound = model._defect_bound(p, bad, gate)
-    assert bound[k + 1].max() > gate
-    assert bound[: k + 1].max() < gate
-    assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+    # is about 1e-5 x^q, x = (t - t_k) / h_k.  At m = 0 the residual is that
+    # defect itself, and the limit of the bound must catch it too
+    for p, traj, k, gate in (_long_exp_cell(), _first_order_cell()):
+        change = np.zeros(traj._coefs.shape[1:])
+        change[-1, 0] = 1e-5
+        bad = _with_segment(traj, k, "_coefs", change)
+        bound = model._defect_bound(p, bad, gate)
+        assert bound[k + 1].max() > gate
+        assert bound[: k + 1].max() < gate
+        with pytest.raises(IntegrationError, match="certification failed"):
+            _certified(bad)
+        if p.is_inertial:  # the exact residual is defined for m > 0 only
+            assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
 
 
 def _bump(center, width, amp):
