@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -119,13 +120,18 @@ class Trajectory:
     def horizon(self) -> float:
         return float(self.grid[-1])
 
+    @cached_property
+    def _table(self) -> np.ndarray:
+        """The cell table [g coefficients; omega_k; theta_k] of each cell, (cells, _DEGREE + 3, n)."""
+        return np.concatenate([self._coefs, self.omega_grid[:-1, None], self.theta_grid[:-1, None]], 1)
+
     def eval_many(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray]:
         """Dense (theta, omega) arrays of shape (len(ts), n).
 
         Each time is read in the grid cell that starts at or before it, or in
         the cell `cells` names, so that a cell can be read at its right end.
         """
-        return self._read(ts, cells)[:2]
+        return self._read(ts, cells, False)
 
     def eval_with_model(self, ts, cells=None) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """eval_many and the coupling model g = nu + p_c of each time's cell, (len(ts), n).
@@ -134,52 +140,47 @@ class Trajectory:
         (omega = g at m = 0), so the certificate reads the ODE defect
         m omega' + omega - nu - c(theta) as g - nu - c(theta).
         """
-        theta, omega, cells, s, h = self._read(ts, cells)
-        x = (s / h)[:, None]
-        g = self._coefs[cells, _DEGREE]
-        for p in range(_DEGREE - 1, -1, -1):
-            g = g * x + self._coefs[cells, p]
-        return theta, omega, g
+        return self._read(ts, cells, True)
 
-    def _read(self, ts, cells):
-        """(theta, omega), and the cells read with each time's offset s into its cell of width h.
+    def _read(self, ts, cells, with_model):
+        """theta, omega and, with_model, g at each time, (Q, n) each.
 
-        One coefficient row per query is gathered at a time, so no
-        (Q, _DEGREE + 1, n) block is formed.
+        In cell k every output is a weight row times the cell table
+        `_table[k]`.  One `relaxation_weights` call gives every query's rows
+        (`_weight_rows`), and each run of consecutive queries in one cell
+        takes one batched matrix product into the preallocated outputs, so
+        memory is the outputs plus O(Q q + cells q n).
         """
         ts = np.asarray(ts, dtype=float)
         if ts.size and (ts.min() < self.grid[0] - 1e-12 or ts.max() > self.grid[-1] + 1e-12):
             raise ValueError("query time outside the trajectory span")
         if cells is None:  # the cell starting at or before each query
-            cells = np.searchsorted(self.grid[:-1], ts, side="right") - 1
-            cells = np.clip(cells, 0, len(self._hs) - 1)
-        s = ts - self.grid[cells]
-        h = self._hs[cells]
-        rows = (self._coefs[cells, p] for p in range(_DEGREE + 1))
-        weights = relaxation_weights(s, h, self.params.inertia_m, _DEGREE)
-        theta, omega = _relax(self.theta_grid[cells], self.omega_grid[cells], rows, weights)
-        return theta, omega, cells, s, h
+            cells = np.clip(np.searchsorted(self.grid[:-1], ts, side="right") - 1, 0, len(self._hs) - 1)
+        rows = _weight_rows(ts - self.grid[cells], self._hs[cells], self.params.inertia_m, with_model)
+        outs = np.empty(rows.shape[:2] + (self.params.n,))
+        starts = np.flatnonzero(np.diff(cells, prepend=-1))
+        for a, b, k in zip(starts.tolist(), starts[1:].tolist() + [len(ts)], cells[starts].tolist()):
+            np.matmul(rows[:, a:b], self._table[k], out=outs[:, a:b])
+        return tuple(outs)
 
     def state_at_time(self, t: float) -> PhaseState:
         th, om = self.eval_many(np.array([t]))
         return PhaseState(float(t), th[0], om[0])
 
 
-def _relax(theta0, omega0, coefs, weights):
-    """theta and omega at offsets s into a cell under the coupling model sum_p coefs[p] (u/h)^p.
+def _weight_rows(s, h, m, with_model=False):
+    """Rows (2 + with_model, Q, _DEGREE + 3) against the cell table [a_p; omega_k; theta_k].
 
-    theta(s) = theta0 + M_0(s) omega0 + sum_p coefs[p] J_p(s)/h^p,
-    omega(s) = omega0 e^{-s/m} + sum_p coefs[p] M_p(s)/(m h^p);
-    `weights` come from `relaxation_weights`, and `coefs` yields one row per
-    order that broadcasts against (Q, n).
+    At offsets s into cells of width h they give theta_k + M_0(s) omega_k + sum_p a_p J_p(s)/h^p,
+    omega_k e^{-s/m} + sum_p a_p M_p(s)/(m h^p) and the model g = sum_p a_p (s/h)^p.
     """
-    decay, mom0, rate, jom = weights
-    theta = theta0 + mom0[:, None] * omega0  # M_0(s) = m (1 - e^{-s/m})
-    omega = omega0 * decay[:, None]
-    for p, row in enumerate(coefs):
-        theta = theta + jom[p][:, None] * row
-        omega = omega + rate[p][:, None] * row
-    return theta, omega
+    decay, mom0, rate, jom = relaxation_weights(s, h, m, _DEGREE)
+    rows = np.zeros((2 + with_model, len(decay), _DEGREE + 3))
+    rows[0, :, :-2], rows[0, :, -2], rows[0, :, -1] = jom.T, mom0, 1.0
+    rows[1, :, :-2], rows[1, :, -2] = rate.T, decay
+    if with_model:
+        rows[2, :, :-2] = (s / h)[:, None] ** np.arange(_DEGREE + 1)
+    return rows
 
 
 def _fit(g0, x, nat_freq):
@@ -202,11 +203,10 @@ def _relax_cells(cells, coefs, omega0, theta_end):
     integral of omega, is accumulated from theta_end at the right end.
     """
     grid, hs, m = cells.grid, cells._hs, cells.params.inertia_m
-    weights = relaxation_weights(hs, hs, m, _DEGREE)
-    rows = coefs.transpose(1, 0, 2)  # one (cells, n) row per order
-    _, gain = _relax(0.0, 0.0, rows, weights)  # the omega each cell adds from rest
+    rows = _weight_rows(hs, hs, m)  # each cell read at its right end
+    rise, gain = np.einsum("rkj,kjn->rkn", rows[:, :, :-2], coefs)  # what it adds from rest
     omega = np.exp(-grid / m)[:, None] * omega0 + relaxation_chain(grid, gain, m)
-    rise, _ = _relax(0.0, omega[:-1], rows, weights)  # theta(t_{k+1}) - theta(t_k)
+    rise += rows[0, :, -2, None] * omega[:-1]  # theta(t_{k+1}) - theta(t_k), with M_0(h_k) omega_k
     theta = theta_end - np.cumsum(np.vstack([rise, np.zeros_like(omega0)])[::-1], axis=0)[::-1]
     return Trajectory(cells.params, grid, theta, omega, cells.tol, "picard", None, hs, coefs)
 

@@ -294,10 +294,11 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     start), an estimate of the sampling error.  D_k is a sampled sup, so the
     rows bound the residual up to that error; in cells far below the gate a
     row can fall a fraction of a percent short of the exact residual there.
-    At m = 0 the rows take the limit m -> 0: no layer nodes, e^{-h_k/m} -> 0
-    and B_{k+1} = D_k.  Returns (K, n) in the layout of duhamel_residual_grid,
-    or None if a cell's excess is above gate/10 (or NaN).  Memory is
-    O(chunk * n) besides a fixed number of entries per cell.
+    At m = 0 the residual is the defect itself, with no memory: there are no
+    layer nodes, and row k + 1 is D_k, whose samples at both ends of cell k
+    cover the one-sided residuals at the jumps.  Returns (K, n) in the layout
+    of duhamel_residual_grid, or None if a cell's excess is above gate/10 (or
+    NaN).  Memory is O(chunk * n) besides a fixed number of entries per cell.
     """
     m, n = params.inertia_m, params.n
     grid = traj.grid
@@ -314,13 +315,16 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     if not np.all(excess <= gate / 10.0):  # a NaN fails too
         return None
     defect = sup + excess
+    rows = np.zeros((len(grid), n))
+    if m == 0.0:  # the residual is the defect itself, and D_k samples both ends of cell k
+        rows[1:] = defect
+        return rows
     jumps = np.zeros((len(grid), n))  # |omega(t_k+) - omega(t_k-)|; none at either end
     jumps[1:-1] = np.abs(ends[1:, 0] - ends[:-1, 1])
 
-    z = widths[:, None] / m if m > 0.0 else np.inf  # h_k/m
+    z = widths[:, None] / m  # h_k/m
     local = np.exp(-z) * jumps[:-1] - np.expm1(-z) * defect
     entry = relaxation_chain(grid, local, m) + jumps  # bound on |r(t_k+)|
-    rows = np.zeros((len(grid), n))
     rows[1:] = np.maximum(np.maximum(entry[:-1], defect), entry[1:])
     return rows
 

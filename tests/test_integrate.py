@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib
 import math
+import tracemalloc
 import warnings
 from types import SimpleNamespace
 
@@ -14,7 +15,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
-from synclab import model
+from synclab import model, observables
+from synclab._kernels import relaxation_weights
 from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
     MAX_JET_ORDER,
@@ -679,3 +681,68 @@ def test_trajectory_states_and_grid_alignment():
         theta, omega = traj.eval_many(traj.grid[1:], cells)
         assert np.abs(theta - traj.theta_grid[1:]).max() < 1e-12
         assert np.abs(omega - traj.omega_grid[1:]).max() < traj.tol
+
+
+def _per_query_read(traj, ts, cells=None):
+    """Reference dense output: theta, omega and g of each query on its own.
+
+    Every order's coefficient row is gathered per query and weighed by
+    `relaxation_weights`, and g is summed by Horner's rule.
+    """
+    q = traj._coefs.shape[1] - 1
+    if cells is None:
+        cells = np.clip(np.searchsorted(traj.grid[:-1], ts, side="right") - 1, 0, len(traj._hs) - 1)
+    s, h = ts - traj.grid[cells], traj._hs[cells]
+    decay, mom0, rate, jom = relaxation_weights(s, h, traj.params.inertia_m, q)
+    theta = traj.theta_grid[cells] + mom0[:, None] * traj.omega_grid[cells]
+    omega = traj.omega_grid[cells] * decay[:, None]
+    for p in range(q + 1):
+        row = traj._coefs[cells, p]
+        theta = theta + jom[p][:, None] * row
+        omega = omega + rate[p][:, None] * row
+    g = traj._coefs[cells, q]
+    for p in range(q - 1, -1, -1):
+        g = g * (s / h)[:, None] + traj._coefs[cells, p]
+    return theta, omega, g
+
+
+@pytest.mark.parametrize("n", [1, 3, 128])
+@pytest.mark.parametrize("m", [0.0, 1e-3, 0.5])
+def test_dense_readers_match_the_per_query_formula(m, n):
+    # sorted times, shuffled times with repeats, and every grid point read at
+    # the right end of the cell before it, as the certificate reads them
+    rng = np.random.default_rng(17)
+    p = SystemParams(n, m, 1.0, rng.normal(0.0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, n), rng.normal(0.0, 0.3, n))
+    traj = integrate(p, init, 10.0, 1e-8)
+    sorted_ts = np.sort(np.concatenate([rng.uniform(0.0, 10.0, 400), traj.grid]))
+    shuffled = rng.permutation(np.concatenate([sorted_ts, rng.choice(sorted_ts, 200)]))
+    right_ends = (traj.grid[1:], np.arange(len(traj._hs)))
+    for ts, cells in ((sorted_ts, None), (shuffled, None), right_ends):
+        ref = _per_query_read(traj, ts, cells)
+        scale = 1e-13 * np.maximum(1.0, np.abs(ref[0]))
+        got = traj.eval_with_model(ts, cells)
+        for a, b in zip(got + traj.eval_many(ts, cells), ref + ref[:2]):
+            assert a.shape == (len(ts), n)
+            assert np.all(np.abs(a - b) <= scale)
+    empty = traj.eval_with_model(np.array([])) + traj.eval_many([])
+    assert [a.shape for a in empty] == [(0, n)] * 5
+
+
+def test_dense_reader_memory_is_its_outputs():
+    # the lock's ~2006 times on a wide-style run at n = 1024: the two (Q, n)
+    # outputs take 31 MiB, and one more (Q, n) temporary would add half of
+    # that; per-order gathers, as in _per_query_read, peak at 3x
+    rng = np.random.default_rng(23)
+    n = 1024
+    p = SystemParams(n, 0.5, 1.0, rng.normal(0.0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, n), rng.normal(0.0, 0.3, n))
+    traj = integrate(p, init, 10.0, 1e-8)
+    ts = observables._sample_times(traj, 8.0, 10.0)
+    tracemalloc.start()
+    try:
+        (theta, omega), peak = traj.eval_many(ts), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert theta.shape == omega.shape == (len(ts), n) and len(ts) > 2000
+    assert peak <= 1.25 * (theta.nbytes + omega.nbytes)

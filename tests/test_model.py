@@ -298,7 +298,8 @@ def _first_order_cell():
 def test_defect_bound_flags_a_corrupted_coupling_model():
     # a wrong top coefficient in one cell's coupling model: the defect there
     # is about 1e-5 x^q, x = (t - t_k) / h_k.  At m = 0 the residual is that
-    # defect itself, and the limit of the bound must catch it too
+    # defect itself, with no memory: the bound must catch it in row k + 1
+    # and leave the next cell's row as it was
     for p, traj, k, gate in (_long_exp_cell(), _first_order_cell()):
         change = np.zeros(traj._coefs.shape[1:])
         change[-1, 0] = 1e-5
@@ -310,6 +311,10 @@ def test_defect_bound_flags_a_corrupted_coupling_model():
             _certified(bad)
         if p.is_inertial:  # the exact residual is defined for m > 0 only
             assert np.abs(duhamel_residual_grid(p, bad))[k + 1].max() > gate
+        else:
+            clean = model._defect_bound(p, traj, gate)
+            assert np.array_equal(bound[k + 2], clean[k + 2])
+            assert clean[k + 2].max() < 0.1 * gate
 
 
 def _bump(center, width, amp):
