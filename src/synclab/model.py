@@ -22,8 +22,8 @@ import numpy as np
 
 from ._kernels import relaxation_chain, relaxation_convolution
 
-# Nodes times oscillators per chunk of the defect bound and of the exact
-# residual; it bounds their arrays whatever horizon/m.
+# Times times oscillators (or pairs) per block of `walk_cells`, of the exact
+# residual and of the pairwise speed check; it bounds their arrays whatever horizon/m.
 _CHUNK_ENTRIES = 1 << 16
 # Level L of the defect bound's 2^L + 1 even nodes per cell.
 _DEFECT_LEVEL = 4
@@ -61,6 +61,7 @@ __all__ = [
     "rhs_first_order",
     "duhamel_residual",
     "duhamel_residual_grid",
+    "walk_cells",
     "apply_galilean",
     "apply_dilation",
     "apply_reflection",
@@ -246,34 +247,37 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
     return cell_max, res[-1]
 
 
-def _cell_defect(params: SystemParams, traj, offsets, coarse):
-    """Largest |ODE defect| per cell over the `coarse` offsets and over all of them.
+def walk_cells(params: SystemParams, read, grid, t_from: float, t_to: float):
+    """Read a run over [t_from, t_to] at the certificate's offsets, in blocks of whole cells.
 
-    `offsets` (K, P) are times into each grid cell k and `coarse` (P,) marks
-    a subset of them.  The defect of the dense output,
-    delta = m omega' + omega - nu - c(theta), is read as g - nu - c(theta), the
-    collocation error of the cell's coupling model g, to which the dense omega
-    relaxes exactly.  Returns both sups (K, n) and omega at each cell's first
-    and last offset (K, 2, n).  The cells are walked in chunks of about
-    _CHUNK_ENTRIES entries.
+    Each cell of `grid` that meets the window is read at its start, at the
+    nodes m/10 * 2^j covering the layer of width m in the widest cell (none
+    at m = 0), at _DEFECT_PEAKS, and at the 2^L even nodes after its start
+    (L = _DEFECT_LEVEL): the last 2^L columns, of which the last is the cell
+    end and every other one from the first is new at level L.  Each time is
+    clipped to its cell and to the window, so the walk reads t_from first and
+    t_to last; `read(ts, cells)` (a run's `eval_many` or `eval_with_model`)
+    reads each in its cell.  Yields (cells (b,), times (b, P), outputs
+    (b, P, n) each) per block of about _CHUNK_ENTRIES entries.  A window
+    outside the span raises ValueError when the walk starts.
     """
-    n = params.n
-    cells, per = offsets.shape
+    if not grid[0] - 1e-12 <= t_from <= t_to <= grid[-1] + 1e-12:  # a NaN fails too
+        raise ValueError("window outside the trajectory span")
+    t_from, t_to = max(t_from, grid[0]), min(t_to, grid[-1])
+    m, n, widths = params.inertia_m, params.n, np.diff(grid)
+    # the cells that end at or after t_from and start at or before t_to
+    cells = np.arange(np.searchsorted(grid[1:], t_from), np.searchsorted(grid[:-1], t_to, "right"))
+    layers = max(1, math.ceil(math.log2(10.0 * widths.max() / m))) if m > 0.0 else 0
+    layer = np.broadcast_to(m / 10.0 * 2.0 ** np.arange(layers), (len(cells), layers))
+    x = np.r_[_DEFECT_PEAKS, np.arange(1, 2**_DEFECT_LEVEL) / 2**_DEFECT_LEVEL]
+    inner = np.hstack([layer, np.outer(widths[cells], x)])  # the offsets between start and end
+    lo, hi = np.maximum(grid[cells], t_from)[:, None], np.minimum(grid[cells + 1], t_to)[:, None]
+    ts = np.hstack([lo, np.clip(grid[cells, None] + inner, lo, hi), hi])
+    per = ts.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (n * per))
-    sup_coarse = np.empty((cells, n))
-    sup = np.empty((cells, n))
-    ends = np.empty((cells, 2, n))
-    for a in range(0, cells, chunk):
-        c = np.arange(a, min(a + chunk, cells))
-        ts = (traj.grid[c][:, None] + offsets[c]).ravel()
-        theta, omega, g = traj.eval_with_model(ts, np.repeat(c, per))
-        delta = g - params.nat_freq
-        delta -= _mean_field(params, np.exp(1j * theta))[0]
-        delta = np.abs(delta).reshape(len(c), per, n)
-        sup_coarse[c] = delta[:, coarse].max(axis=1)
-        sup[c] = delta.max(axis=1)
-        ends[c] = omega.reshape(len(c), per, n)[:, [0, -1]]
-    return sup_coarse, sup, ends
+    for a in range(0, len(cells), chunk):
+        c, t = cells[a : a + chunk], ts[a : a + chunk]
+        yield c, t, tuple(out.reshape(len(c), per, n) for out in read(t.ravel(), np.repeat(c, per)))
 
 
 def _defect_bound(params: SystemParams, traj, gate: float):
@@ -286,14 +290,12 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     cell k this gives |r| <= max(B_k + J_k, D_k) on the cell and
     B_{k+1} = e^{-h_k/m} (B_k + J_k) + (1 - e^{-h_k/m}) D_k, per oscillator.
 
-    D_k is sampled at the 2^L + 1 even nodes of level L = _DEFECT_LEVEL, at
-    the nodes m/10 * 2^j from the cell start, which cover the layer of width m
-    there, and at _DEFECT_PEAKS, near which the collocation error peaks.  D_k
-    is the sup over all of them plus its excess over the sup at level L - 1
-    (the even nodes of that level, the layer nodes, the peaks and the cell
-    start), an estimate of the sampling error.  D_k is a sampled sup, so the
-    rows bound the residual up to that error; in cells far below the gate a
-    row can fall a fraction of a percent short of the exact residual there.
+    D_k is sampled at every offset `walk_cells` reads, over the whole run:
+    the sup over all of them plus its excess over the sup at level L - 1
+    (every offset but the even nodes new at level L), an estimate of the
+    sampling error.  D_k is a sampled sup, so the rows bound the residual up
+    to that error; in cells far below the gate a row can fall a fraction of
+    a percent short of the exact residual there.
     At m = 0 the residual is the defect itself, with no memory: there are no
     layer nodes, and row k + 1 is D_k, whose samples at both ends of cell k
     cover the one-sided residuals at the jumps.  Returns (K, n) in the layout
@@ -302,19 +304,22 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     """
     m, n = params.inertia_m, params.n
     grid = traj.grid
-    widths = np.diff(grid)
-    layers = max(1, math.ceil(math.log2(10.0 * widths.max() / m))) if m > 0.0 else 0
-    layer = m / 10.0 * 2.0 ** np.arange(layers)
-    x = np.linspace(0.0, 1.0, 2**_DEFECT_LEVEL + 1)
-    offsets = np.hstack([np.zeros((len(widths), 1)), np.minimum(layer, widths[:, None]),
-                         np.outer(widths, _DEFECT_PEAKS), np.outer(widths, x[1:])])
-    coarse = np.ones(offsets.shape[1], dtype=bool)
-    coarse[1 + len(layer) + len(_DEFECT_PEAKS) :: 2] = False  # the even nodes new at level L
-    sup_coarse, sup, ends = _cell_defect(params, traj, offsets, coarse)
-    excess = sup - sup_coarse
+    defect = np.empty((len(grid) - 1, n))
+    excess = np.empty_like(defect)
+    ends = np.empty((len(grid) - 1, 2, n))  # omega at each cell's start and end
+    walk = walk_cells(params, traj.eval_with_model, grid, grid[0], grid[-1])
+    for c, _, (theta, omega, g) in walk:
+        delta = g - params.nat_freq
+        delta -= _mean_field(params, np.exp(1j * theta))[0]
+        delta = np.abs(delta)
+        coarse = np.ones(delta.shape[1], dtype=bool)
+        coarse[-(2**_DEFECT_LEVEL) :: 2] = False  # the even nodes new at level L
+        defect[c] = delta.max(axis=1)
+        excess[c] = defect[c] - delta[:, coarse].max(axis=1)
+        ends[c] = omega[:, [0, -1]]
     if not np.all(excess <= gate / 10.0):  # a NaN fails too
         return None
-    defect = sup + excess
+    defect += excess
     rows = np.zeros((len(grid), n))
     if m == 0.0:  # the residual is the defect itself, and D_k samples both ends of cell k
         rows[1:] = defect
@@ -322,7 +327,7 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     jumps = np.zeros((len(grid), n))  # |omega(t_k+) - omega(t_k-)|; none at either end
     jumps[1:-1] = np.abs(ends[1:, 0] - ends[:-1, 1])
 
-    z = widths[:, None] / m  # h_k/m
+    z = np.diff(grid)[:, None] / m  # h_k/m
     local = np.exp(-z) * jumps[:-1] - np.expm1(-z) * defect
     entry = relaxation_chain(grid, local, m) + jumps  # bound on |r(t_k+)|
     rows[1:] = np.maximum(np.maximum(entry[:-1], defect), entry[1:])

@@ -3,6 +3,10 @@
 Includes the order parameter R, phase/frequency diameters, the pairwise
 mismatch functional, the cluster-confinement functional xi with its
 stability checker, and a finite-horizon phase-locking certificate.
+
+The checker and the certificate read a run where its certificate does: at
+the per-cell offsets of `model.walk_cells`, block by block, so their cost
+and memory follow the cells that meet their window.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from typing import Sequence
 import numpy as np
 
 from .integrate import Trajectory
+from .model import walk_cells
 
 __all__ = [
     "ClusterSpec",
@@ -141,25 +146,15 @@ def xi_functional(m: float, kappa: float, nu_a, omega0_a, eta: float) -> float:
     return base + tail
 
 
-def _sample_times(traj: Trajectory, t_from: float, t_to: float) -> np.ndarray:
-    """2001 evenly spaced times over [t_from, t_to], and every grid point there.
-
-    The even sample covers the settled stretches, where the step grid thins out.
-    """
-    grid = traj.grid
-    inside = grid[(grid > t_from) & (grid < t_to)]
-    return np.union1d(np.linspace(t_from, t_to, 2001), inside)
-
-
 def cluster_stability_check(traj: Trajectory, spec: ClusterSpec, t1: float) -> dict:
     """Monitor confinement of the cluster after time t1.
 
     Hypotheses checked: t1 >= eta*m, D(Theta_A(t1)) <= ell, and
     xi < (lambda/2) sin(ell) - (1 - lambda) sin(ell/2).  When they hold, the
-    report records whether sup_{t in [t1, horizon]} D(Theta_A(t)) stays
-    within ell and whether the terminal cluster diameter is already below
-    the asymptotic ceiling (3*pi / (4*(2*lambda - 1))) *
-    (2*m*D(nu_A) + 4*m*kappa + D(nu_A)/kappa).
+    report records whether sup_{t in [t1, horizon]} D(Theta_A(t)), read at
+    the offsets of `walk_cells`, stays within ell and whether the terminal
+    cluster diameter is already below the asymptotic ceiling
+    (3*pi / (4*(2*lambda - 1))) * (2*m*D(nu_A) + 4*m*kappa + D(nu_A)/kappa).
     """
     params = traj.params
     spec.validate_size(params.n)
@@ -190,24 +185,18 @@ def cluster_stability_check(traj: Trajectory, spec: ClusterSpec, t1: float) -> d
         report["conclusion_checked"] = False
         return report
 
-    ts = _sample_times(traj, t1, traj.horizon)
-    th, _ = traj.eval_many(ts)
-    sub = th[:, idx]
-    diams = sub.max(axis=1) - sub.min(axis=1)
+    sup = 0.0
+    for _, _, (th, _) in walk_cells(params, traj.eval_many, traj.grid, t1, traj.horizon):
+        diams = np.ptp(th[..., idx], axis=-1)
+        sup = max(sup, float(diams.max()))
+    terminal = float(diams[-1, -1])  # at the horizon, the walk's last time
     d_nu = diameter(params.nat_freq[idx])
     ceiling = (3.0 * math.pi / (4.0 * (2.0 * spec.lam - 1.0))) * (
         2.0 * m * d_nu + 4.0 * m * kappa + d_nu / kappa
     )
-    report.update(
-        {
-            "conclusion_checked": True,
-            "sup_diameter": float(diams.max()),
-            "confined": bool(diams.max() <= spec.ell),
-            "terminal_diameter": float(diams[-1]),
-            "asymptotic_ceiling": ceiling,
-            "terminal_below_ceiling": bool(diams[-1] < ceiling),
-        }
-    )
+    report.update(conclusion_checked=True, sup_diameter=sup, confined=sup <= spec.ell,
+                  terminal_diameter=terminal, asymptotic_ceiling=ceiling,
+                  terminal_below_ceiling=terminal < ceiling)
     return report
 
 
@@ -222,6 +211,7 @@ def lock_certificate(
     locked is true iff, over the trailing window, the frequency spread stays
     within eps_omega and every pairwise phase difference stays within
     eps_theta of its terminal value.  The default eps_omega is 1e-6 * kappa.
+    Both are running maxima over the blocks of `walk_cells` on the window.
     """
     if not (0.0 < window_fraction < 1.0):
         raise ValueError("window_fraction must lie in (0, 1)")
@@ -229,21 +219,14 @@ def lock_certificate(
         eps_omega = 1e-6 * traj.params.coupling_kappa
 
     t_end = traj.horizon
-    t_start = t_end * (1.0 - window_fraction)
-    ts = _sample_times(traj, t_start, t_end)
-    th, om = traj.eval_many(ts)
+    th_end = traj.eval_many(np.array([t_end]))[0][0]
+    freq_spread = max_phase_drift = 0.0
+    for _, _, (th, om) in walk_cells(traj.params, traj.eval_many, traj.grid,
+                                     t_end * (1.0 - window_fraction), t_end):
+        freq_spread = max(freq_spread, float(np.ptp(om, axis=-1).max()))
+        # max over pairs of |(theta_i - theta_j)(t) - (theta_i - theta_j)(t_end)|
+        # equals the diameter of the per-channel deviation from the terminal state
+        max_phase_drift = max(max_phase_drift, float(np.ptp(th - th_end, axis=-1).max()))
 
-    freq_spread = float((om.max(axis=1) - om.min(axis=1)).max())
-    # max over pairs of |(theta_i - theta_j)(t) - (theta_i - theta_j)(t_end)|
-    # equals the diameter of the per-channel deviation from the terminal state
-    dev = th - th[-1][None, :]
-    max_phase_drift = float((dev.max(axis=1) - dev.min(axis=1)).max()) if traj.params.n > 1 else 0.0
-
-    r_end = order_parameter(th[-1])
     locked = freq_spread <= eps_omega and max_phase_drift <= eps_theta
-    return LockCertificate(
-        locked=bool(locked),
-        max_freq_spread=freq_spread,
-        max_phase_drift=max_phase_drift,
-        limiting_r_estimate=r_end,
-    )
+    return LockCertificate(locked, freq_spread, max_phase_drift, order_parameter(th_end))

@@ -19,9 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import model as _model
 from .integrate import Trajectory, integrate, taylor_jet
 from .model import PhaseState, SystemParams, coupling_term
-from .observables import _sample_times, diameter
+from .observables import diameter
 
 __all__ = [
     "BoundCheck",
@@ -43,8 +44,6 @@ __all__ = [
 
 SLACK_FACTOR = 50.0  # a BoundCheck forgives SLACK_FACTOR * tol of measurement error
 _MAX_FACTORIAL = 21
-# Samples times oscillator pairs per chunk of the pairwise speed check.
-_PAIR_CHUNK_ENTRIES = 1 << 16
 _FACT = [float(math.factorial(k)) for k in range(_MAX_FACTORIAL + 1)]
 
 
@@ -255,47 +254,54 @@ def approxaut_measured(params: SystemParams, traj: Trajectory, ts) -> np.ndarray
 
 
 def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> list[BoundCheck]:
-    """Velocity envelope inequalities on the dense output at `_sample_times` (m > 0).
+    """Velocity envelope inequalities on the dense output, at the offsets of `walk_cells` (m > 0).
 
     (1) e^{-t/m} w0_i + (1-e^{-t/m})(nu_i - k) <= w_i(t)
         <= e^{-t/m} w0_i + (1-e^{-t/m})(nu_i + k);
     (2) |w_i - w_j|(t) <= e^{-t/m}|w0_i - w0_j| + (1-e^{-t/m})(|nu_i - nu_j| + 2k);
     (3) D(omega(t)) <= e^{-t/m} D(omega0) + (1-e^{-t/m})(D(nu) + 2k).
+
+    The run is read block by block over [0, horizon], and each check keeps
+    one value per time read in each cell.
     """
     params = traj.params
     if not params.is_inertial:
         raise ValueError("propagation bounds require m > 0")
     if slack is None:
         slack = 10.0 * traj.tol
-    m, kappa = params.inertia_m, params.coupling_kappa
+    m, kappa, n = params.inertia_m, params.coupling_kappa, params.n
     nu = params.nat_freq
-    t = _sample_times(traj, 0.0, traj.horizon)
-    _, om = traj.eval_many(t)
-    om0 = om[0]
-    e = np.exp(-t / m)[:, None]
-
-    upper = e * om0[None, :] + (1.0 - e) * (nu + kappa)[None, :]
-    lower = e * om0[None, :] + (1.0 - e) * (nu - kappa)[None, :]
-    c_upper = BoundCheck("speed_envelope_upper", t, (om - upper).max(axis=1), np.zeros_like(t), slack)
-    c_lower = BoundCheck("speed_envelope_lower", t, (lower - om).max(axis=1), np.zeros_like(t), slack)
-
+    om0 = traj.eval_many(np.zeros(1))[1][0]
     # each pair has its own bound; the (Q, n, n) differences are taken in
-    # chunks of samples so that memory stays O(chunk * n^2)
+    # chunks of times so that memory stays O(chunk * n^2)
     dw0 = np.abs(om0[:, None] - om0[None, :])
     dnu = np.abs(nu[:, None] - nu[None, :])
-    pair = np.empty_like(t)
-    chunk = max(1, _PAIR_CHUNK_ENTRIES // params.n**2)
-    for a in range(0, len(t), chunk):
-        w, ec = om[a : a + chunk], e[a : a + chunk, :, None]
-        dw = np.abs(w[:, :, None] - w[:, None, :])
-        pair_bound = ec * dw0[None] + (1.0 - ec) * (dnu[None] + 2.0 * kappa)
-        pair[a : a + chunk] = (dw - pair_bound).max(axis=(1, 2))
-    c_pair = BoundCheck("speed_pairwise", t, pair, np.zeros_like(t), slack)
-
-    d_om = om.max(axis=1) - om.min(axis=1)
-    d_bound = e[:, 0] * (om0.max() - om0.min()) + (1.0 - e[:, 0]) * (diameter(nu) + 2.0 * kappa)
-    c_diam = BoundCheck("speed_diameter", t, d_om, d_bound, slack)
-    return [c_lower, c_upper, c_pair, c_diam]
+    pair_chunk = max(1, _model._CHUNK_ENTRIES // n**2)
+    rows = []  # per block: times, upper, lower, pairwise, diameter and its bound
+    for _, t, (_, om) in _model.walk_cells(params, traj.eval_many, traj.grid, 0.0, traj.horizon):
+        # each cell's times in order, once: its end repeats where layer nodes pass it
+        order = np.argsort(t, axis=1)
+        t = np.take_along_axis(t, order, axis=1)
+        keep = np.diff(t, axis=1, prepend=-np.inf) > 0
+        t, om = t[keep], np.take_along_axis(om, order[..., None], axis=1)[keep]
+        e = np.exp(-t / m)[:, None]
+        upper = e * om0 + (1.0 - e) * (nu + kappa)
+        lower = e * om0 + (1.0 - e) * (nu - kappa)
+        pair = np.empty_like(t)
+        for a in range(0, len(t), pair_chunk):
+            w, ec = om[a : a + pair_chunk], e[a : a + pair_chunk, :, None]
+            dw = np.abs(w[:, :, None] - w[:, None, :])
+            pair_bound = ec * dw0[None] + (1.0 - ec) * (dnu[None] + 2.0 * kappa)
+            pair[a : a + pair_chunk] = (dw - pair_bound).max(axis=(1, 2))
+        d_bound = e[:, 0] * np.ptp(om0) + (1.0 - e[:, 0]) * (diameter(nu) + 2.0 * kappa)
+        rows.append((t, (om - upper).max(axis=1), (lower - om).max(axis=1), pair,
+                     np.ptp(om, axis=1), d_bound))
+    t, upper, lower, pair, d_om, d_bound = (np.concatenate(col) for col in zip(*rows))
+    zero = np.zeros_like(t)
+    return [BoundCheck("speed_envelope_lower", t, lower, zero, slack),
+            BoundCheck("speed_envelope_upper", t, upper, zero, slack),
+            BoundCheck("speed_pairwise", t, pair, zero, slack),
+            BoundCheck("speed_diameter", t, d_om, d_bound, slack)]
 
 
 def gronwall_v(m: float, kappa: float, c0: float, t) -> np.ndarray | float:

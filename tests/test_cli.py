@@ -293,6 +293,10 @@ def test_bad_numbers_exit_2_with_one_error_line(argv, tmp_path, capsys):
         ["n=4", "cluster_indices=[0,1,2]", "eps=-1"],
         ["n=4", "cluster_indices=[0,1,2]", "eps_omega=-1"],
         ["n=4", "cluster_indices=[0,1,2]", "eps_theta=-1"],
+        # these named the dense reader's span and the integrator's horizon
+        ["t1=-5"],
+        ["t1=10.5"],
+        ["t0=0"],
     ],
 )
 def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsys):
@@ -303,6 +307,7 @@ def test_bad_fields_exit_2_with_one_config_error_line(overrides, tmp_path, capsy
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith("error: config:")
+    assert overrides[-1].partition("=")[0] in err[0]  # the line names the bad field
     assert not (tmp_path / "o").exists()
 
 

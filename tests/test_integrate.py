@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.integrate import solve_ivp
 
-from synclab import model, observables
+from synclab import model
 from synclab._kernels import relaxation_weights
 from synclab.experiments import ScenarioConfig, _sync_scenario
 from synclab.integrate import (
@@ -730,15 +730,17 @@ def test_dense_readers_match_the_per_query_formula(m, n):
 
 
 def test_dense_reader_memory_is_its_outputs():
-    # the lock's ~2006 times on a wide-style run at n = 1024: the two (Q, n)
-    # outputs take 31 MiB, and one more (Q, n) temporary would add half of
-    # that; per-order gathers, as in _per_query_read, peak at 3x
+    # ~2006 times (2001 even ones and the grid points between them) on a
+    # wide-style run at n = 1024: the two (Q, n) outputs take 31 MiB, and one
+    # more (Q, n) temporary would add half of that; per-order gathers, as in
+    # _per_query_read, peak at 3x
     rng = np.random.default_rng(23)
     n = 1024
     p = SystemParams(n, 0.5, 1.0, rng.normal(0.0, 0.3, n))
     init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, n), rng.normal(0.0, 0.3, n))
     traj = integrate(p, init, 10.0, 1e-8)
-    ts = observables._sample_times(traj, 8.0, 10.0)
+    inside = traj.grid[(traj.grid > 8.0) & (traj.grid < 10.0)]
+    ts = np.union1d(np.linspace(8.0, 10.0, 2001), inside)
     tracemalloc.start()
     try:
         (theta, omega), peak = traj.eval_many(ts), tracemalloc.get_traced_memory()[1]
@@ -746,3 +748,50 @@ def test_dense_reader_memory_is_its_outputs():
         tracemalloc.stop()
     assert theta.shape == omega.shape == (len(ts), n) and len(ts) > 2000
     assert peak <= 1.25 * (theta.nbytes + omega.nbytes)
+
+
+def _walk(traj, t_from, t_to):
+    """Every block of `model.walk_cells` over [t_from, t_to], concatenated."""
+    blocks = list(model.walk_cells(traj.params, traj.eval_many, traj.grid, t_from, t_to))
+    cells = np.concatenate([np.repeat(c, t.shape[1]) for c, t, _ in blocks])
+    ts = np.concatenate([t.ravel() for _, t, _ in blocks])
+    omega = np.concatenate([om.reshape(-1, traj.params.n) for _, _, (_, om) in blocks])
+    return cells, ts, omega
+
+
+@st.composite
+def _walk_ends(draw, grid):
+    """A time in [grid[0], grid[-1]]: often a grid point, else a fraction of the span."""
+    if draw(st.booleans()):
+        return float(grid[draw(st.integers(0, len(grid) - 1))])
+    return float(grid[-1] * draw(st.floats(0.0, 1.0)))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.sampled_from([1, 3, 16]), st.one_of(st.just(0.0), st.floats(1e-3, 1.0)),
+       st.integers(0, 2**16), st.data())
+def test_the_cell_walk_reads_its_window_cell_by_cell(n, m, seed, data):
+    rng = np.random.default_rng(seed)
+    p = SystemParams(n, m, 1.0, rng.normal(0.0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, n), rng.normal(0.0, 0.3, n))
+    traj = integrate(p, init, 3.0, 1e-8)
+    grid = traj.grid
+    t_from, t_to = sorted(data.draw(_walk_ends(grid)) for _ in range(2))
+    cells, ts, omega = _walk(traj, t_from, t_to)
+    assert ts[0] == t_from and ts[-1] == t_to
+    assert np.all((t_from <= ts) & (ts <= t_to))
+    assert np.all((grid[cells] <= ts) & (ts <= grid[cells + 1]))
+    meets = np.flatnonzero((grid[:-1] <= t_to) & (grid[1:] >= t_from))
+    assert np.array_equal(np.unique(cells), meets)
+    assert np.array_equal(omega, traj.eval_many(ts, cells)[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_CHUNK_ENTRIES", 1)  # one cell per block
+        one_by_one = _walk(traj, t_from, t_to)
+    assert np.array_equal(one_by_one[0], cells) and np.array_equal(one_by_one[1], ts)
+    scale = 1e-13 * np.maximum(1.0, np.abs(omega))
+    assert np.all(np.abs(one_by_one[2] - omega) <= scale)
+    # a zero-width window reads its one time
+    assert np.unique(_walk(traj, t_to, t_to)[1]).tolist() == [t_to]
+    for window in ((-1e-3, t_to), (t_from, grid[-1] + 1e-3), (t_to, t_from - 1e-3)):
+        with pytest.raises(ValueError):
+            _walk(traj, *window)

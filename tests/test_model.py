@@ -32,7 +32,7 @@ from synclab.model import (
     rhs_first_order,
     rhs_second_order,
 )
-from synclab.observables import order_parameter
+from synclab.observables import lock_certificate, order_parameter
 
 from conftest import SWEEP_M_LIST, SWEEP_TOL
 from pairwise_oracles import pairwise_coupling_and_rate
@@ -616,6 +616,20 @@ def test_exp_integration_memory_is_linear_in_n():
     assert peak < 32.0
 
 
+def test_lock_memory_follows_a_block_not_the_window():
+    # the wide draw at n = 8192 (15 cells): one (Q, n) float array over the
+    # 2006 times read before the cell walk took 125 MiB, and three of them
+    # peaked at 384.5 MiB
+    n = 8192
+    rng = np.random.default_rng([1, n])
+    params = SystemParams(n, 0.5, 1.0, rng.normal(0.0, 0.3, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * math.pi, n), rng.normal(0.0, 0.3, n))
+    traj = integrate(params, init, 10.0, 1e-8)
+    cert, peak = _traced_peak_mib(lock_certificate, traj)
+    assert not cert.locked and 0.0 < cert.limiting_r_estimate < 1.0
+    assert peak <= 32.0, peak
+
+
 @st.composite
 def _phase_batches(draw):
     n = draw(st.sampled_from([1, 2, 3, 128]))
@@ -743,6 +757,43 @@ def test_permutation_preserves_order_parameter_history():
         r1 = order_parameter(traj.state_at_time(t).theta)
         r2 = order_parameter(traj2.state_at_time(t).theta)
         assert r1 == pytest.approx(r2, abs=10 * tol)
+
+
+@settings(deadline=None, max_examples=40)
+@given(st.integers(2, 5), st.floats(0.05, 1.0), st.floats(0.5, 2.0), st.integers(0, 2**16),
+       st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-math.pi, math.pi)),
+       st.floats(0.5, 2.0), st.data())
+def test_symmetry_maps_commute_with_integration(n, m, horizon, seed, shift, alpha, data):
+    # the four maps of criterion 11 on random draws, with its gaps and 1e-7 cap
+    tol, cap = 1e-9, 1e-7
+    rng = np.random.default_rng(seed)
+    p = SystemParams(n, m, 1.0, rng.normal(0.0, 0.2, n))
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * math.pi, n), rng.normal(0.0, 0.3, n))
+    traj = integrate(p, init, horizon, tol)
+    sample = horizon * np.array([0.2, 0.55, 1.0])
+
+    def worst(run, times, image):
+        """Largest gap between run at t and the image of traj's state at t0, over (t, t0)."""
+        out = 0.0
+        for t, t0 in times:
+            a, (theta, omega) = run.state_at_time(float(t)), image(traj.state_at_time(float(t0)))
+            out = max(out, np.abs(a.theta - theta).max(), np.abs(a.omega - omega).max())
+        return out
+
+    p_g, init_g, tmap = apply_galilean(p, init, GalileanShift(*shift))
+    run = integrate(p_g, init_g, horizon, tol)
+    assert worst(run, zip(sample, sample), lambda s: (tmap(s).theta, tmap(s).omega)) < cap
+    p_d, init_d, time_map = apply_dilation(p, init, alpha)
+    run = integrate(p_d, init_d, horizon / alpha, tol)
+    times = [(t, time_map(t)) for t in sample / alpha]
+    assert worst(run, times, lambda s: (s.theta, alpha * s.omega)) < cap
+    p_r, init_r = apply_reflection(p, init)
+    run = integrate(p_r, init_r, horizon, tol)
+    assert worst(run, zip(sample, sample), lambda s: (-s.theta, -s.omega)) < cap
+    perm = data.draw(st.permutations(range(n)))
+    p_p, init_p = apply_permutation(p, init, perm)
+    run = integrate(p_p, init_p, horizon, tol)
+    assert worst(run, zip(sample, sample), lambda s: (s.theta[perm], s.omega[perm])) < cap
 
 
 def test_mean_phase_frequency_closed_forms():

@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from synclab import tikhonov
+from synclab import model
 from synclab.integrate import integrate
 from synclab.model import PhaseState, SystemParams
 from synclab.tikhonov import (
@@ -255,7 +255,7 @@ def test_propagation_check_flags_corruption(sweep_result):
         omega_grid = traj.omega_grid + shift(traj.grid)
 
         @staticmethod
-        def eval_many(ts):
+        def eval_many(ts, cells=None):
             th, om = traj.eval_many(ts)
             return th, om + shift(ts)
 
@@ -273,7 +273,7 @@ class _RelaxingOscillators:
         self.grid = np.linspace(0.0, horizon, cells + 1)
         self.horizon, self.tol = horizon, 1e-9
 
-    def eval_many(self, ts):
+    def eval_many(self, ts, cells=None):
         ts = np.asarray(ts, dtype=float)[:, None]
         e = np.exp(-ts / self.params.inertia_m)
         nu, gap = self.params.nat_freq, self.omega0 - self.params.nat_freq
@@ -281,9 +281,9 @@ class _RelaxingOscillators:
 
 
 def test_pairwise_speed_check_memory_is_bounded():
-    # about 4000 samples at n = 128: one (Q, n, n) float array over them
-    # takes 500 MiB
-    traj = _RelaxingOscillators(128, 0.1, 10.0, 4000)
+    # about 4000 samples at n = 128, 26 in each of 170 cells: one (Q, n, n)
+    # float array over them takes 500 MiB
+    traj = _RelaxingOscillators(128, 0.1, 10.0, 170)
     tracemalloc.start()
     try:
         checks = propagation_bounds_check(traj)
@@ -299,7 +299,7 @@ def test_pairwise_speed_check_memory_is_bounded():
 def test_pairwise_speed_check_is_chunk_invariant(sweep_result, monkeypatch):
     traj = sweep_result["trajectories"][0.1]
     default = propagation_bounds_check(traj)
-    monkeypatch.setattr(tikhonov, "_PAIR_CHUNK_ENTRIES", 3 * traj.params.n**2)
+    monkeypatch.setattr(model, "_CHUNK_ENTRIES", 3 * traj.params.n**2)
     chunked = propagation_bounds_check(traj)
     for a, b in zip(default, chunked):
         assert a.name == b.name
