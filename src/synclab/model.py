@@ -247,23 +247,29 @@ def _velocity_residual(params: SystemParams, eval_many, nodes):
     return cell_max, res[-1]
 
 
-def walk_cells(params: SystemParams, read, grid, t_from: float, t_to: float):
-    """Read a run over [t_from, t_to] at the certificate's offsets, in blocks of whole cells.
+def walk_cells(params: SystemParams, runs, t_from: float, t_to: float, with_model=False):
+    """Read runs over [t_from, t_to] at the certificate's offsets, in blocks of whole cells.
 
-    Each cell of `grid` that meets the window is read at its start, at the
-    nodes m/10 * 2^j covering the layer of width m in the widest cell (none
-    at m = 0), at _DEFECT_PEAKS, and at the 2^L even nodes after its start
-    (L = _DEFECT_LEVEL): the last 2^L columns, of which the last is the cell
-    end and every other one from the first is new at level L.  Each time is
-    clipped to its cell and to the window, so the walk reads t_from first and
-    t_to last; `read(ts, cells)` (a run's `eval_many` or `eval_with_model`)
-    reads each in its cell.  Yields (cells (b,), times (b, P), outputs
-    (b, P, n) each) per block of about _CHUNK_ENTRIES entries.  A window
-    outside the span raises ValueError when the walk starts.
+    The cells are the union of the runs' grids over their common span; each
+    lies in one cell of every run.  Each cell that meets the window is read
+    at its start, at the nodes m/10 * 2^j covering the layer of width m in
+    the widest cell (none at m = 0; `params` gives m and n), at _DEFECT_PEAKS,
+    and at the 2^L even nodes after its start (L = _DEFECT_LEVEL): the last
+    2^L columns, of which the last is the cell end and every other one from
+    the first is new at level L.  Each time is clipped to its cell and to the
+    window, so the walk reads t_from first and t_to last.  Each run reads each
+    time in its own cell by `eval_with_model` if with_model, else `eval_many`.
+    Yields (cells (b,), times (b, P), every run's outputs (b, P, n) in turn)
+    per block of about _CHUNK_ENTRIES entries per run.  A window outside the
+    common span raises ValueError when the walk starts.
     """
-    if not grid[0] - 1e-12 <= t_from <= t_to <= grid[-1] + 1e-12:  # a NaN fails too
+    grids = [run.grid for run in runs]
+    first, last = max(g[0] for g in grids), min(g[-1] for g in grids)
+    if not first - 1e-12 <= t_from <= t_to <= last + 1e-12:  # a NaN fails too
         raise ValueError("window outside the trajectory span")
-    t_from, t_to = max(t_from, grid[0]), min(t_to, grid[-1])
+    grid = grids[0] if len(grids) == 1 else np.unique(
+        np.concatenate([g[(first <= g) & (g <= last)] for g in grids]))
+    t_from, t_to = max(t_from, first), min(t_to, last)
     m, n, widths = params.inertia_m, params.n, np.diff(grid)
     # the cells that end at or after t_from and start at or before t_to
     cells = np.arange(np.searchsorted(grid[1:], t_from), np.searchsorted(grid[:-1], t_to, "right"))
@@ -273,11 +279,31 @@ def walk_cells(params: SystemParams, read, grid, t_from: float, t_to: float):
     inner = np.hstack([layer, np.outer(widths[cells], x)])  # the offsets between start and end
     lo, hi = np.maximum(grid[cells], t_from)[:, None], np.minimum(grid[cells + 1], t_to)[:, None]
     ts = np.hstack([lo, np.clip(grid[cells, None] + inner, lo, hi), hi])
+    # the cell of each run that holds each cell
+    own = [np.searchsorted(g, grid[cells], "right") - 1 for g in grids]
+    reads = [run.eval_with_model if with_model else run.eval_many for run in runs]
     per = ts.shape[1]
     chunk = max(1, _CHUNK_ENTRIES // (n * per))
     for a in range(0, len(cells), chunk):
         c, t = cells[a : a + chunk], ts[a : a + chunk]
-        yield c, t, tuple(out.reshape(len(c), per, n) for out in read(t.ravel(), np.repeat(c, per)))
+        yield c, t, tuple(out.reshape(len(c), per, n) for read, k in zip(reads, own)
+                          for out in read(t.ravel(), np.repeat(k[a : a + chunk], per)))
+
+
+def walk_times(params: SystemParams, runs, t_from: float, t_to: float):
+    """The blocks of `walk_cells`, flat: each cell's distinct times in order (Q,) and
+    every run's (theta, omega) there (Q, n); a time between two cells comes twice."""
+    for _, t, outs in walk_cells(params, runs, t_from, t_to):
+        order = np.argsort(t, axis=1)
+        t = np.take_along_axis(t, order, axis=1)
+        keep = np.diff(t, axis=1, prepend=-np.inf) > 0
+        yield t[keep], tuple(np.take_along_axis(out, order[..., None], axis=1)[keep] for out in outs)
+
+
+def read_cells(params: SystemParams, runs, t_from: float, t_to: float):
+    """Every block of `walk_times`, concatenated: the times and every run's (theta, omega)."""
+    ts, outs = zip(*walk_times(params, runs, t_from, t_to))
+    return np.concatenate(ts), tuple(np.concatenate(col) for col in zip(*outs))
 
 
 def _defect_bound(params: SystemParams, traj, gate: float):
@@ -307,8 +333,7 @@ def _defect_bound(params: SystemParams, traj, gate: float):
     defect = np.empty((len(grid) - 1, n))
     excess = np.empty_like(defect)
     ends = np.empty((len(grid) - 1, 2, n))  # omega at each cell's start and end
-    walk = walk_cells(params, traj.eval_with_model, grid, grid[0], grid[-1])
-    for c, _, (theta, omega, g) in walk:
+    for c, _, (theta, omega, g) in walk_cells(params, [traj], grid[0], grid[-1], with_model=True):
         delta = g - params.nat_freq
         delta -= _mean_field(params, np.exp(1j * theta))[0]
         delta = np.abs(delta)

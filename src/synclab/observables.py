@@ -186,7 +186,7 @@ def cluster_stability_check(traj: Trajectory, spec: ClusterSpec, t1: float) -> d
         return report
 
     sup = 0.0
-    for _, _, (th, _) in walk_cells(params, traj.eval_many, traj.grid, t1, traj.horizon):
+    for _, _, (th, _) in walk_cells(params, [traj], t1, traj.horizon):
         diams = np.ptp(th[..., idx], axis=-1)
         sup = max(sup, float(diams.max()))
     terminal = float(diams[-1, -1])  # at the horizon, the walk's last time
@@ -221,8 +221,7 @@ def lock_certificate(
     t_end = traj.horizon
     th_end = traj.eval_many(np.array([t_end]))[0][0]
     freq_spread = max_phase_drift = 0.0
-    for _, _, (th, om) in walk_cells(traj.params, traj.eval_many, traj.grid,
-                                     t_end * (1.0 - window_fraction), t_end):
+    for _, _, (th, om) in walk_cells(traj.params, [traj], t_end * (1.0 - window_fraction), t_end):
         freq_spread = max(freq_spread, float(np.ptp(om, axis=-1).max()))
         # max over pairs of |(theta_i - theta_j)(t) - (theta_i - theta_j)(t_end)|
         # equals the diameter of the per-channel deviation from the terminal state

@@ -25,7 +25,7 @@ import numpy as np
 
 from .integrate import IntegrationError, Trajectory, first_zero, integrate
 from .integrate import _DEGREE, _NODES, _certified, _fit, _regula_falsi, _relax_cells
-from .model import PhaseState, SystemParams, coupling_term
+from .model import PhaseState, SystemParams, coupling_term, read_cells
 from .observables import mismatch_l2
 
 __all__ = [
@@ -329,9 +329,10 @@ def sturm_picone_monitor(
 ) -> dict:
     """Track the pairwise mismatch L(t) of two equal-initial-velocity solutions.
 
-    L must stay positive at least until T*(m, 1, kappa).  Reports the first
-    time L dips below 1e-7 * L(0) (located by trisection on the
-    bracketing dip), or None when it never does.  Positivity can only be
+    L must stay positive at least until T*(m, 1, kappa); it is read in time
+    order on both runs' cells (`model.read_cells`).  Reports the first time
+    L dips below 1e-7 * L(0) (located by trisection on the bracketing dip),
+    or None when it never does.  Positivity can only be
     certified down to the integration noise floor: two solutions locking to
     the same profile drive L to zero exponentially, and the monitor reads
     that as a zero once L crosses the floor.
@@ -346,9 +347,7 @@ def sturm_picone_monitor(
         raise ValueError("initial mismatch must be positive (phase gaps not constant)")
 
     horizon = min(traj_a.horizon, traj_b.horizon)
-    ts = np.linspace(0.0, horizon, 4001)
-    th_a, _ = traj_a.eval_many(ts)
-    th_b, _ = traj_b.eval_many(ts)
+    ts, (th_a, _, th_b, _) = read_cells(traj_a.params, [traj_a, traj_b], 0.0, horizon)
     l_vals = mismatch_l2(th_a, th_b)
 
     tstar = sturm_picone_tstar(m, 1.0, kappa)

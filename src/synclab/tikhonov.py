@@ -241,13 +241,13 @@ def approxaut_bound(params: SystemParams, init: PhaseState, t):
     ) * (1.0 - e) ** 3
 
 
-def approxaut_measured(params: SystemParams, traj: Trajectory, ts) -> np.ndarray:
-    """Measured LHS of the autonomous approximant inequality, max over channels."""
+def approxaut_measured(params: SystemParams, om0, ts, th, om) -> np.ndarray:
+    """Measured LHS of the autonomous approximant inequality, max over channels, from
+    the run's initial velocity om0 and its phases and velocities (th, om) at ts."""
     if not params.is_inertial:
         raise ValueError("inertial bounds require m > 0")
-    m, om0, nu = params.inertia_m, traj.omega_grid[0], params.nat_freq
+    m, nu = params.inertia_m, params.nat_freq
     ts = np.asarray(ts, dtype=float)
-    th, om = traj.eval_many(ts)
     e = np.exp(-ts / m)[:, None]
     approx = om0 * e + nu * (1.0 - e) + coupling_term(params, th) * (1.0 - e)
     return np.abs(om - approx).max(axis=1)
@@ -261,8 +261,8 @@ def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> li
     (2) |w_i - w_j|(t) <= e^{-t/m}|w0_i - w0_j| + (1-e^{-t/m})(|nu_i - nu_j| + 2k);
     (3) D(omega(t)) <= e^{-t/m} D(omega0) + (1-e^{-t/m})(D(nu) + 2k).
 
-    The run is read block by block over [0, horizon], and each check keeps
-    one value per time read in each cell.
+    The run is read block by block over [0, horizon] (`walk_times`), and
+    each check keeps one value per time read in each cell.
     """
     params = traj.params
     if not params.is_inertial:
@@ -278,12 +278,7 @@ def propagation_bounds_check(traj: Trajectory, slack: float | None = None) -> li
     dnu = np.abs(nu[:, None] - nu[None, :])
     pair_chunk = max(1, _model._CHUNK_ENTRIES // n**2)
     rows = []  # per block: times, upper, lower, pairwise, diameter and its bound
-    for _, t, (_, om) in _model.walk_cells(params, traj.eval_many, traj.grid, 0.0, traj.horizon):
-        # each cell's times in order, once: its end repeats where layer nodes pass it
-        order = np.argsort(t, axis=1)
-        t = np.take_along_axis(t, order, axis=1)
-        keep = np.diff(t, axis=1, prepend=-np.inf) > 0
-        t, om = t[keep], np.take_along_axis(om, order[..., None], axis=1)[keep]
+    for t, (_, om) in _model.walk_times(params, [traj], 0.0, traj.horizon):
         e = np.exp(-t / m)[:, None]
         upper = e * om0 + (1.0 - e) * (nu + kappa)
         lower = e * om0 + (1.0 - e) * (nu - kappa)
@@ -485,9 +480,9 @@ def compare_trajectories(
     """Integrate the zero-inertia solution once and one inertial run per m,
     then certify every phase/velocity/derivative gap bound.
 
-    Gaps are sampled at 601 uniform times and jets taken at t = 0.5, 1, 2;
-    the velocity bounds c1_abs and c1_rel skip the initial layer t < 5m, and
-    `strict` adds them over all times as c1_abs_full and c1_rel_full.
+    Gaps are read on both runs' cells (`model.read_cells`), jets taken at
+    t = 0.5, 1, 2; the velocity bounds c1_abs and c1_rel skip the initial
+    layer t < 5m, and `strict` adds them over all times as c1_abs_full and c1_rel_full.
 
     Returns a dict with per-m BoundCheck lists, measured sup phase gaps, and
     the consecutive sup-gap ratios used for the linear-in-m verdict; a ratio
@@ -499,8 +494,6 @@ def compare_trajectories(
 
     params0 = SystemParams(params_base.n, 0.0, params_base.coupling_kappa, params_base.nat_freq)
     traj0 = integrate(params0, init, horizon, tol)
-    ts = np.linspace(0.0, horizon, 601)
-    th0, om0_t = traj0.eval_many(ts)
     jt = [t for t in (0.5, 1.0, 2.0) if t <= horizon]
     jets_0 = {t: taylor_jet(params0, traj0.state_at_time(t), n_max).coeffs for t in jt}
 
@@ -508,7 +501,7 @@ def compare_trajectories(
     for m in m_list:
         params_m = SystemParams(params_base.n, m, params_base.coupling_kappa, params_base.nat_freq)
         traj_m = integrate(params_m, init, horizon, tol)
-        th_m, om_m = traj_m.eval_many(ts)
+        ts, (th0, om0_t, th_m, om_m) = _model.read_cells(params_m, [traj0, traj_m], 0.0, horizon)
 
         gap = th_m - th0
         gap_abs = np.abs(gap).max(axis=1)
@@ -564,16 +557,10 @@ def compare_trajectories(
                 )
         checks.extend(_jet_suite_checks(params_m, jets_m, jets_0, init, n_max, slack))
 
-        ts_aut = ts[ts > 0]
-        checks.append(
-            BoundCheck(
-                "autonomous_approximant",
-                ts_aut,
-                approxaut_measured(params_m, traj_m, ts_aut),
-                approxaut_bound(params_m, init, ts_aut),
-                slack,
-            )
-        )
+        aut = ts > 0
+        measured = approxaut_measured(params_m, init.omega, ts[aut], th_m[aut], om_m[aut])
+        checks.append(BoundCheck("autonomous_approximant", ts[aut], measured,
+                                 approxaut_bound(params_m, init, ts[aut]), slack))
         checks.extend(propagation_bounds_check(traj_m, slack=slack))
 
         result["checks"][m] = checks

@@ -46,6 +46,17 @@ def test_initial_phase_filter(seed):
     assert (theta0 == again).all()
 
 
+@pytest.mark.parametrize("n", [2048, 8192])
+def test_large_n_phase_draws_pass_their_floor(n):
+    # a floor of 0.05 passes one draw with probability about e^{-n/400}:
+    # 4 of these seeds at n = 2048 and none at n = 8192 would draw
+    from synclab.observables import order_parameter
+
+    for seed in range(10):
+        theta0, _ = draw_initial_phases(ScenarioConfig(seed=seed, n=n))
+        assert order_parameter(theta0) > 1.0 / math.sqrt(n)
+
+
 def test_no_runner_draws_from_one_stream_twice(monkeypatch):
     # seed 18 at n = 2 rejects its first phase draw, so draw_initial_phases
     # takes theta0 from stream 1; every other draw must come from a stream of

@@ -750,13 +750,15 @@ def test_dense_reader_memory_is_its_outputs():
     assert peak <= 1.25 * (theta.nbytes + omega.nbytes)
 
 
-def _walk(traj, t_from, t_to):
-    """Every block of `model.walk_cells` over [t_from, t_to], concatenated."""
-    blocks = list(model.walk_cells(traj.params, traj.eval_many, traj.grid, t_from, t_to))
+def _walk(runs, t_from, t_to):
+    """Every block of `model.walk_cells` over [t_from, t_to], concatenated, with each run's omega."""
+    n = runs[0].params.n
+    blocks = list(model.walk_cells(runs[0].params, runs, t_from, t_to))
     cells = np.concatenate([np.repeat(c, t.shape[1]) for c, t, _ in blocks])
     ts = np.concatenate([t.ravel() for _, t, _ in blocks])
-    omega = np.concatenate([om.reshape(-1, traj.params.n) for _, _, (_, om) in blocks])
-    return cells, ts, omega
+    omegas = [np.concatenate([outs[2 * r + 1].reshape(-1, n) for _, _, outs in blocks])
+              for r in range(len(runs))]
+    return cells, ts, omegas
 
 
 @st.composite
@@ -775,9 +777,10 @@ def test_the_cell_walk_reads_its_window_cell_by_cell(n, m, seed, data):
     p = SystemParams(n, m, 1.0, rng.normal(0.0, 0.3, n))
     init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, n), rng.normal(0.0, 0.3, n))
     traj = integrate(p, init, 3.0, 1e-8)
+    finer = integrate(p, init, 3.0, 1e-9)  # the same draw on another grid
     grid = traj.grid
     t_from, t_to = sorted(data.draw(_walk_ends(grid)) for _ in range(2))
-    cells, ts, omega = _walk(traj, t_from, t_to)
+    cells, ts, (omega,) = _walk([traj], t_from, t_to)
     assert ts[0] == t_from and ts[-1] == t_to
     assert np.all((t_from <= ts) & (ts <= t_to))
     assert np.all((grid[cells] <= ts) & (ts <= grid[cells + 1]))
@@ -786,12 +789,24 @@ def test_the_cell_walk_reads_its_window_cell_by_cell(n, m, seed, data):
     assert np.array_equal(omega, traj.eval_many(ts, cells)[1])
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(model, "_CHUNK_ENTRIES", 1)  # one cell per block
-        one_by_one = _walk(traj, t_from, t_to)
+        one_by_one = _walk([traj], t_from, t_to)
     assert np.array_equal(one_by_one[0], cells) and np.array_equal(one_by_one[1], ts)
     scale = 1e-13 * np.maximum(1.0, np.abs(omega))
-    assert np.all(np.abs(one_by_one[2] - omega) <= scale)
+    assert np.all(np.abs(one_by_one[2][0] - omega) <= scale)
+    # two runs walk the union of their grids, and each reads every time in
+    # its own cell that holds the walk's cell
+    union = np.union1d(grid, finer.grid)
+    cells, ts, omegas = _walk([traj, finer], t_from, t_to)
+    assert ts[0] == t_from and ts[-1] == t_to
+    assert np.all((union[cells] <= ts) & (ts <= union[cells + 1]))
+    meets = np.flatnonzero((union[:-1] <= t_to) & (union[1:] >= t_from))
+    assert np.array_equal(np.unique(cells), meets)
+    for run, om in zip((traj, finer), omegas):
+        own = np.searchsorted(run.grid, 0.5 * (union[cells] + union[cells + 1])) - 1
+        assert np.all((run.grid[own] <= ts) & (ts <= run.grid[own + 1]))
+        assert np.array_equal(om, run.eval_many(ts, own)[1])
     # a zero-width window reads its one time
-    assert np.unique(_walk(traj, t_to, t_to)[1]).tolist() == [t_to]
+    assert np.unique(_walk([traj], t_to, t_to)[1]).tolist() == [t_to]
     for window in ((-1e-3, t_to), (t_from, grid[-1] + 1e-3), (t_to, t_from - 1e-3)):
         with pytest.raises(ValueError):
-            _walk(traj, *window)
+            _walk([traj], *window)

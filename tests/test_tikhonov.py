@@ -22,6 +22,7 @@ from synclab.tikhonov import (
     bound_c1_abs,
     bound_cn,
     bound_thm13_cn,
+    compare_trajectories,
     faa_di_bruno_mass,
     gronwall_identity_residual,
     gronwall_v,
@@ -173,8 +174,21 @@ def test_approxaut_bound_limits_and_measurement():
     assert float(approxaut_bound(p, s, 1e6 * m)) == pytest.approx(m * kappa * (0.4 + 2.0))
     traj = integrate(p, s, 3.0, 1e-10)
     ts = np.linspace(0.05, 3.0, 60)
-    measured = approxaut_measured(p, traj, ts)
+    measured = approxaut_measured(p, s.omega, ts, *traj.eval_many(ts))
     assert np.all(measured <= approxaut_bound(p, s, ts) + 5e-9)
+
+
+def test_the_comparison_reads_the_initial_layer():
+    # the walk's layer nodes m/10 * 2^j read inside (0, m/5]; an even
+    # 601-point read over horizon 3 would read first at 0.005 > 0.0125/5
+    rng = np.random.default_rng(5)
+    nu = rng.normal(0.0, 0.3, 3)
+    init = PhaseState(0.0, rng.uniform(0.0, 2 * np.pi, 3), nu + rng.normal(0.0, 0.3, 3))
+    res = compare_trajectories(SystemParams(3, 0.0, 1.0, nu), init, [0.05, 0.0125], 3.0, n_max=2)
+    for m, checks in res["checks"].items():
+        for c in checks:
+            if c.name in ("c0_abs", "autonomous_approximant"):
+                assert np.any((0.0 < c.times) & (c.times <= m / 5)), (m, c.name)
 
 
 def test_gronwall_closed_form():

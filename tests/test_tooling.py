@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ast
 import os
 import shutil
 import subprocess
@@ -67,3 +68,18 @@ def test_the_console_script_runs_the_cli(tmp_path):
     bad = synclab("simulate", "--set", "horizon=-1", "--out", str(tmp_path / "o"))
     assert bad.returncode == 2
     assert bad.stderr.splitlines() == ["error: config: horizon must be positive"]
+
+
+def test_only_the_gronwall_quadrature_samples_an_even_grid():
+    # every run is read on its cells (`model.walk_cells`), so no reader holds
+    # a fixed sample count; the quadrature panels of
+    # gronwall_identity_residual read no trajectory
+    hits = []
+    for path in sorted((REPO / "src" / "synclab").glob("*.py")):
+        text = path.read_text()
+        spans = [(f.name, f.lineno, f.end_lineno) for f in ast.walk(ast.parse(text))
+                 if isinstance(f, ast.FunctionDef)]
+        hits += [(path.name, [name for name, a, b in spans if a <= i <= b])
+                 for i, line in enumerate(text.splitlines(), 1) if "linspace" in line]
+    assert hits, "the quadrature's panels are gone: update this test"
+    assert all(hit == ("tikhonov.py", ["gronwall_identity_residual"]) for hit in hits), hits
